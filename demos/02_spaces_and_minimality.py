@@ -5,7 +5,8 @@ scales, then runs the LVB/LVMO minimality decision over the generator
 corpus and the Sarason continuity probe for the maximal subspace.
 """
 
-from holoflow import expr, volterra
+from holoflow import volterra
+from holoflow.expr import FunctionHandle
 from holoflow.semigroup import Generator
 from holoflow.spaces import (Weight, bloch_seminorm, bmoa_seminorm,
                              bmoa_vanishing, minimality)
@@ -14,23 +15,17 @@ FUNCTIONS = ("z", "log(e/(1 - z))", "(log(e/(1 - z)))^0.5")
 GENERATORS = ("i*z", "-z", "-z*(1 + z)/(1 - z)", "(1 - z)^2", "z^2 - 1")
 
 
-def pair(src):
-    tree = expr.parse(src)
-    dtree = expr.differentiate(tree)
-    return (lambda z: expr.evaluate_array(tree, z),
-            lambda z: expr.evaluate_array(dtree, z))
-
-
 def main():
     print("== seminorms and vanishing verdicts ==")
     for src in FUNCTIONS:
-        f = pair(src)
+        f = FunctionHandle.from_source(src)
         print("  f = %-24s bloch %.4f   bmoa %.4f   vmoa: %s"
               % (src, bloch_seminorm(f).value, bmoa_seminorm(f).value,
                  bmoa_vanishing(f).tag))
 
     print("\n== log-weighted scale separates the corpus ==")
-    rep = bmoa_seminorm(pair("(log(e/(1 - z)))^0.5"), Weight.log(), J=10)
+    rep = bmoa_seminorm(FunctionHandle.from_source("(log(e/(1 - z)))^0.5"),
+                        Weight.log(), J=10)
     sups = dict(rep.scale_series)
     print("  (log)^(1/2): per-octave sups grow (trend %r), "
           "octave ratios %s" % (rep.trend,
@@ -46,7 +41,8 @@ def main():
     print("\n== Sarason continuity probe (maximal subspace evidence) ==")
     gen = Generator.from_source("i*z")
     for src in ("z", "log(e/(1 - z))"):
-        probe = volterra.continuity_probe(gen, pair(src), (0.1, 0.01, 0.001))
+        f = FunctionHandle.from_source(src)
+        probe = volterra.continuity_probe(gen, f, (0.1, 0.01, 0.001))
         print("  f = %-18s ||C_t f - f|| = %s  -> %s"
               % (src, ["%.4f" % v for v in probe.values], probe.trend))
 

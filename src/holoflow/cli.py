@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__, construct, expr, semigroup, spaces, volterra
 from .expr import ParseDiagnostic, EvalDomainError
 from .quad import LimitVerdict, QuadConfig, QuadFailure
-from .semigroup import AdmissibilityError, ClassificationError
+from .semigroup import AdmissibilityError, ClassificationError, FlowBlowupError
 from .spaces import Weight
 
 SCHEMA_VERSION = 1
@@ -73,40 +72,12 @@ def render(obj):
     return render(str(obj))
 
 
-@dataclass
-class RunConfig:
-    atol: float
-    rtol: float
-    max_depth: int
-    eps_min: float
-    n_radial: int
-    n_angular: int
-    tol_vanish: float
-    tol_unbounded: float
-    j_lo: int
-    j_hi: int
-    depth_J: int
-    precision_bits: int
-    output_format: str = "json"
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        cfg = QuadConfig()
-        return RunConfig(cfg.atol, cfg.rtol, cfg.max_depth, cfg.eps_min,
-                         cfg.n_radial, cfg.n_angular, cfg.tol_vanish,
-                         cfg.tol_unbounded, cfg.j_lo, cfg.j_hi,
-                         getattr(args, "J", 8), construct.default_bits())
-
-    def quad(self) -> QuadConfig:
-        return QuadConfig(self.atol, self.rtol, self.max_depth, self.eps_min,
-                          self.n_radial, self.n_angular, self.tol_vanish,
-                          self.tol_unbounded, self.j_lo, self.j_hi)
-
-
 def _emit(args, report, series=()):
+    config = dict(asdict(QuadConfig()), depth_J=getattr(args, "J", 8),
+                  precision_bits=construct.default_bits(),
+                  output_format="json")
     doc = {"version": SCHEMA_VERSION, "artifact": __version__,
-           "command": args.command,
-           "config": render(asdict(RunConfig.from_args(args)))}
+           "command": args.command, "config": render(config)}
     doc.update(render(report))
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if getattr(args, "csv", None):
@@ -125,13 +96,6 @@ def _weight(args) -> Weight:
 
 def _gen(args) -> semigroup.Generator:
     return semigroup.Generator.from_source(args.generator)
-
-
-def _fn_pair(src):
-    tree = expr.parse(src)
-    dtree = expr.differentiate(tree)
-    return (lambda z: expr.evaluate_array(tree, z),
-            lambda z: expr.evaluate_array(dtree, z))
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +148,12 @@ def cmd_gamma(args):
 
 
 def cmd_norm(args):
-    pair = _fn_pair(args.function)
+    f = expr.FunctionHandle.from_source(args.function)
     w = _weight(args)
     if args.space == "bloch":
-        rep = spaces.bloch_seminorm(pair, w, resolution=args.J + 4)
+        rep = spaces.bloch_seminorm(f, w, resolution=args.J + 4)
     else:
-        rep = spaces.bmoa_seminorm(pair, w, J=args.J)
+        rep = spaces.bmoa_seminorm(f, w, J=args.J)
     series = [("refinement", r, v) for r, v in rep.history]
     series += [("scale_sup", j, v) for j, v in rep.scale_series]
     return _emit(args, {"space": rep.space, "weight": rep.weight,
@@ -198,12 +162,12 @@ def cmd_norm(args):
 
 
 def cmd_vanishing(args):
-    pair = _fn_pair(args.function)
+    f = expr.FunctionHandle.from_source(args.function)
     w = _weight(args)
     if args.space == "bloch":
-        verdict = spaces.bloch_vanishing(pair, w)
+        verdict = spaces.bloch_vanishing(f, w)
     else:
-        verdict = spaces.bmoa_vanishing(pair, w)
+        verdict = spaces.bmoa_vanishing(f, w)
     series = [("samples", p, v) for p, v in verdict.samples]
     return _emit(args, {"space": args.space, "weight": w,
                         "verdict": verdict}, series)
@@ -237,8 +201,9 @@ def cmd_volterra(args):
 def cmd_sarason(args):
     gen = _gen(args)
     times = [float(t) for t in args.times.split(",")]
-    probe = volterra.continuity_probe(gen, _fn_pair(args.function), times,
-                                      space=args.space, w=_weight(args))
+    f = expr.FunctionHandle.from_source(args.function)
+    probe = volterra.continuity_probe(gen, f, times, space=args.space,
+                                      w=_weight(args))
     series = [("seminorm", t, v) for t, v in zip(probe.times, probe.values)]
     return _emit(args, probe, series)
 
@@ -277,11 +242,11 @@ def cmd_corpus(args):
             "verdicts_agree": rep.verdicts_agree,
         }
     for src in FUNCTION_CORPUS:
-        pair = _fn_pair(src)
+        f = expr.FunctionHandle.from_source(src)
         out["functions"][src] = {
-            "bmoa": spaces.bmoa_seminorm(pair).value,
-            "bloch": spaces.bloch_seminorm(pair).value,
-            "vmoa": spaces.bmoa_vanishing(pair).tag,
+            "bmoa": spaces.bmoa_seminorm(f).value,
+            "bloch": spaces.bloch_seminorm(f).value,
+            "vmoa": spaces.bmoa_vanishing(f).tag,
         }
     return _emit(args, out)
 
@@ -407,7 +372,7 @@ def main(argv=None) -> int:
     except (AdmissibilityError, ClassificationError, EvalDomainError,
             ValueError) as exc:
         return _error_doc(EXIT_DOMAIN, exc)
-    except (QuadFailure, ArithmeticError) as exc:
+    except (QuadFailure, FlowBlowupError, ArithmeticError) as exc:
         return _error_doc(EXIT_NUMERIC, exc)
     except (AssertionError, construct.BlockPropertyError) as exc:
         return _error_doc(EXIT_INTERNAL, exc)

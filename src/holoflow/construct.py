@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from . import expr as _expr
-from . import spaces, volterra
-from .hypgeo import DiscPoint, midpoint_from_origin
+from . import spaces
+from .expr import FunctionHandle
+from .hypgeo import DiscPoint
 from .quad import QuadConfig
 
 __all__ = [
@@ -166,6 +166,24 @@ def _beta_mp(theta_w, gap_w, gap_star, theta_z, gap_z):
     return 1 - mp.log(T / D)
 
 
+def _float_block(wc, wsc):
+    """beta_w in double precision for w = wc and w* = wsc."""
+
+    def val(z):
+        z = np.asarray(z, dtype=complex)
+        sig = (z - wsc) / (1.0 - np.conj(wsc) * z)
+        return np.log(np.e / (1.0 - sig * np.conj(wc)))
+
+    def der(z):
+        z = np.asarray(z, dtype=complex)
+        den = 1.0 - np.conj(wsc) * z
+        sig = (z - wsc) / den
+        dsig = (1.0 - abs(wsc) ** 2) / den ** 2
+        return np.conj(wc) * dsig / (1.0 - sig * np.conj(wc))
+
+    return FunctionHandle(val, der)
+
+
 def make_block(w, bits=None):
     """BlockParams plus a float-vectorized (value, derivative) handle.
 
@@ -181,22 +199,7 @@ def make_block(w, bits=None):
         gap_star = _midpoint_gap(gap)
         params = BlockParams(theta, gap, gap_star,
                              _arc_length_of(gap), _arc_length_of(gap_star))
-    wc = params.w_complex
-    wsc = params.wstar_complex
-
-    def val(z):
-        z = np.asarray(z, dtype=complex)
-        sig = (z - wsc) / (1.0 - np.conj(wsc) * z)
-        return np.log(np.e / (1.0 - sig * np.conj(wc)))
-
-    def der(z):
-        z = np.asarray(z, dtype=complex)
-        den = 1.0 - np.conj(wsc) * z
-        sig = (z - wsc) / den
-        dsig = (1.0 - abs(wsc) ** 2) / den ** 2
-        return np.conj(wc) * dsig / (1.0 - sig * np.conj(wc))
-
-    return params, volterra.FunctionHandle(val, der)
+    return params, _float_block(params.w_complex, params.wstar_complex)
 
 
 @dataclass
@@ -269,8 +272,8 @@ def verify_block(w, bits=None, n_sample=1000) -> BlockReport:
         c0_meas = max(float(np.max(np.abs(vals[mask]))),
                       max((float(x) for x in outside), default=0.0))
 
-    bl = spaces.bloch_seminorm(handle.pair).value
-    bm = spaces.bmoa_seminorm(handle.pair).value
+    bl = spaces.bloch_seminorm(handle).value
+    bm = spaces.bmoa_seminorm(handle).value
     passed = (bl <= BLOCK_BOUNDS["bloch"] and bm <= BLOCK_BOUNDS["bmoa"]
               and min_re >= -1e-12 and max_im <= math.pi / 2 + 1e-12
               and c4 >= BLOCK_BOUNDS["c4_floor"] and c0_meas <= C0)
@@ -295,17 +298,11 @@ class ConstructionSymbol:
     name: str
     source: str
 
-    def float_pair(self):
-        tree = _expr.parse(self.source)
-        dtree = _expr.differentiate(tree)
-        return (lambda z: _expr.evaluate_array(tree, z),
-                lambda z: _expr.evaluate_array(dtree, z))
-
     def base_density(self, theta, gap):
         raise NotImplementedError
 
     def dg0_abs(self) -> float:
-        _, fp = self.float_pair()
+        _, fp = FunctionHandle.from_source(self.source)
         return abs(complex(fp(np.array([0.0 + 0.0j]))[0]))
 
 
@@ -334,6 +331,22 @@ def _gl(n):
     return [mp.mpf(v) for v in x], [mp.mpf(v) for v in w]
 
 
+def _mp_ring(density, center, half, gap, weight, xv, wv):
+    """Radial weight times int density dm over the ring section
+    |theta - center| <= half at gap, per unit radial width.  The angle
+    phi = gap sinh(v) clusters the nodes at the center, which resolves
+    peaks there at any scale >= the gap."""
+    V = mp.asinh(half / gap)
+    mid_v, half_v = V / 2, V / 2
+    ring = mp.mpf(0)
+    for x, w in zip(xv, wv):
+        v = mid_v + half_v * x
+        phi = gap * mp.sinh(v)
+        jac = gap * mp.cosh(v) * half_v * w
+        ring += jac * (density(center + phi, gap) + density(center - phi, gap))
+    return weight * ring * (1 - gap) / mp.pi
+
+
 def mp_disc_integral(density, K=40, n_gap=4, n_v=10):
     """int density dm for densities peaked at angle 0 (sinh-clustered)."""
     xg, wg = _gl(n_gap)
@@ -345,14 +358,7 @@ def mp_disc_integral(density, K=40, n_gap=4, n_v=10):
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         for x, w in zip(xg, wg):
             gap = mid + half * x
-            V = mp.asinh(mp.pi / gap)
-            ring = mp.mpf(0)
-            for xx, ww in zip(xv, wv):
-                v = V / 2 + (V / 2) * xx
-                phi = gap * mp.sinh(v)
-                jac = gap * mp.cosh(v) * (V / 2) * ww
-                ring += jac * (density(phi, gap) + density(-phi, gap))
-            total += half * w * ring * (1 - gap) / mp.pi
+            total += _mp_ring(density, 0, mp.pi, gap, half * w, xv, wv)
     return total
 
 
@@ -370,35 +376,22 @@ def mp_box_average(density, theta_c, length, K=22, n_gap=4, n_v=8):
     gmax = _box_gap_max(length)
     xg, wg = _gl(n_gap)
     xv, wv = _gl(n_v)
-    total = mp.mpf(0)
-
-    def add_gap_node(gap, weight):
-        nonlocal total
-        half = _box_halfwidth(gap, length)
-        if half is None or half <= 0:
-            return
-        V = mp.asinh(half / gap)
-        mid_v, half_v = V / 2, V / 2
-        ring = mp.mpf(0)
-        for x, w in zip(xv, wv):
-            v = mid_v + half_v * x
-            phi = gap * mp.sinh(v)
-            jac = gap * mp.cosh(v) * half_v * w
-            ring += jac * (density(theta_c + phi, gap)
-                           + density(theta_c - phi, gap))
-        total += weight * ring * (1 - gap) / mp.pi
-
-    # outermost panel [gmax/2, gmax]: gap = gmax - u^2
+    # (gap, radial weight) nodes; outermost panel [gmax/2, gmax] with
+    # gap = gmax - u^2, then dyadic panels toward the boundary
     umax = mp.sqrt(gmax / 2)
+    nodes = []
     for x, w in zip(xg, wg):
         u = umax / 2 + (umax / 2) * x
-        add_gap_node(gmax - u * u, (umax / 2) * w * 2 * u)
-    # dyadic panels toward the boundary
+        nodes.append((gmax - u * u, (umax / 2) * w * 2 * u))
     for k in range(1, K + 1):
         lo, hi = gmax / 2 ** (k + 1), gmax / 2 ** k
         mid, half = (lo + hi) / 2, (hi - lo) / 2
-        for x, w in zip(xg, wg):
-            add_gap_node(mid + half * x, half * w)
+        nodes += [(mid + half * x, half * w) for x, w in zip(xg, wg)]
+    total = mp.mpf(0)
+    for gap, weight in nodes:
+        half = _box_halfwidth(gap, length)
+        if half is not None and half > 0:
+            total += _mp_ring(density, theta_c, half, gap, weight, xv, wv)
     return total / length
 
 
@@ -450,20 +443,7 @@ class ConstructionState:
             wc = (1.0 - gf) * complex(mp.cos(th), mp.sin(th))
             gsf = float(gs)
             wsc = (1.0 - gsf) * complex(mp.cos(th), mp.sin(th))
-
-            def val(z, wc=wc, wsc=wsc):
-                z = np.asarray(z, dtype=complex)
-                sig = (z - wsc) / (1.0 - np.conj(wsc) * z)
-                return np.log(np.e / (1.0 - sig * np.conj(wc)))
-
-            def der(z, wc=wc, wsc=wsc):
-                z = np.asarray(z, dtype=complex)
-                den = 1.0 - np.conj(wsc) * z
-                sig = (z - wsc) / den
-                dsig = (1.0 - abs(wsc) ** 2) / den ** 2
-                return np.conj(wc) * dsig / (1.0 - sig * np.conj(wc))
-
-            pairs.append((float(a), val, der))
+            pairs.append((float(a), *_float_block(wc, wsc)))
 
         def F_val(z):
             z = np.asarray(z, dtype=complex)
@@ -565,6 +545,24 @@ def _largest_admissible_length(dens_sq, start_length, bound, max_squarings=24):
     return best
 
 
+def _squaring_search(value_at, gap, target):
+    """Square the candidate gap until value_at(gap, gap*) >= target, gap*
+    the gap of the hyperbolic midpoint.
+
+    Returns (gap, gap*, value) at the first success, or (gap, None, None)
+    once the values plateau hopelessly low or 60 squarings pass.
+    """
+    for _ in range(60):
+        gs = _midpoint_gap(gap)
+        v = value_at(gap, gs)
+        if v >= target:
+            return gap, gs, v
+        if v < target / mp.mpf(10 ** 9) and gap < mp.mpf("1e-300"):
+            break      # plateaued hopelessly low
+        gap = gap * gap
+    return gap, None, None
+
+
 def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                tol_c=DEFAULT_TOL_C, cfg=QuadConfig()) -> ConstructionState:
     """Recursive witness construction: F with T_g F in BMOA minus VMOA.
@@ -576,6 +574,8 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
     (d) M_n^2 = max of those averages over sampled arcs of length <= delta_n;
     (e) a_n = 1/M_n.  Invariants are certified at every step.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1, got %r" % (n_max,))
     bits = bits or default_bits()
     scale_sq = _bmoa_scale_sq(symbol, cfg)
     state = ConstructionState("bmoa", symbol.name, bits, math.sqrt(scale_sq),
@@ -595,31 +595,22 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                 raise AssertionError("delta'_n selection violated its bound")
 
             # (c) candidate search: gaps by squaring within (0, delta'_n]
-            target = mp.mpf(2) ** (2 * n)
-            gap_w = delta_p
-            found = None
-            for _ in range(60):
-                gs = _midpoint_gap(gap_w)
-                ell_w = _arc_length_of(gap_w)
+            def beta_density(gw, gsw):
+                return lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real
+                                     ** 2 * base(t, g))
 
-                def dens_beta(t, g, gw=gap_w, gsw=gs):
-                    return _beta_mp(mp.mpf(0), gw, gsw, t, g).real ** 2 \
-                        * base(t, g)
-
-                avg = mp_box_average(dens_beta, 0, ell_w)
-                if avg >= target:
-                    found = (gap_w, gs, ell_w, avg, dens_beta)
-                    break
-                if avg < target / mp.mpf(10 ** 9) and gap_w < mp.mpf("1e-300"):
-                    break      # plateaued hopelessly low
-                gap_w = gap_w * gap_w
-            if found is None:
+            gap_w, gs, avg_w = _squaring_search(
+                lambda gw, gsw: mp_box_average(beta_density(gw, gsw), 0,
+                                               _arc_length_of(gw)),
+                delta_p, mp.mpf(2) ** (2 * n))
+            if avg_w is None:
                 raise ConstructionFailure(
                     "divergence evidence insufficient at this precision "
                     "(step %d: block averages plateaued below 2^%d)"
                     % (n, 2 * n),
                     {"step": n, "last_gap_exponent": mp.nstr(mp.log(gap_w, 2), 10)})
-            gap_w, gs, ell_w, avg_w, dens_beta = found
+            ell_w = _arc_length_of(gap_w)
+            dens_beta = beta_density(gap_w, gs)
 
             # (d) maximize over sampled arcs of length <= delta_n
             cands = {ell_w}
@@ -674,7 +665,7 @@ def _certify_norm_control(state, symbol, cfg):
     Checks ||T_g F_n|| <= max(||T_g F_{n-1}|| + 2^-n C(g), C(g)) with 10%
     grid slack, where C(g) is recorded from the data.
     """
-    _, gp = symbol.float_pair()
+    _, gp = FunctionHandle.from_source(symbol.source)
     scale = state.scale
     norms = []
     for k in range(state.n + 1):
@@ -701,14 +692,11 @@ def _certify_norm_control(state, symbol, cfg):
 # the Bloch construction
 # ---------------------------------------------------------------------------
 
-def _bloch_point_quantity(state, base_abs, theta, gap):
-    """Re F_n(z) replaced appropriately: |F_{n-1} g'|(1-|z|^2) sup quantity."""
-    return mp.sqrt(state.abs_F_sq(theta, gap)) * base_abs(theta, gap)
-
-
 def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                 tol_c=DEFAULT_TOL_C, cfg=QuadConfig()) -> ConstructionState:
     """Bloch variant: pointwise quantities instead of box averages."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1, got %r" % (n_max,))
     bits = bits or default_bits()
     dg0 = symbol.dg0_abs()
     if dg0 == 0:
@@ -738,7 +726,9 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
 
         delta = mp.mpf("0.125")
         for n in range(1, n_max + 1):
-            quant_F = lambda t, g: _bloch_point_quantity(state, base_abs, t, g)
+            # the pointwise quantity |F_{n-1} g'| (1-|z|^2)
+            quant_F = lambda t, g: (mp.sqrt(state.abs_F_sq(t, g))
+                                    * base_abs(t, g))
             for _ in range(40):
                 if region_sup(quant_F, delta) <= 1:
                     break
@@ -747,28 +737,18 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                 raise ConstructionFailure("no admissible delta_n (Bloch)")
             delta_p = min(delta, (delta / 2 ** (2 * n)) ** 2)
 
-            target = mp.mpf(2) ** n
-            gap_w = delta_p
-            found = None
-            for _ in range(60):
-                gs = _midpoint_gap(gap_w)
-                v = _beta_mp(mp.mpf(0), gap_w, gs, mp.mpf(0), gap_w).real \
-                    * base_abs(mp.mpf(0), gap_w)
-                if v >= target:
-                    found = (gap_w, gs, v)
-                    break
-                if v < target / mp.mpf(10 ** 9) and gap_w < mp.mpf("1e-300"):
-                    break
-                gap_w = gap_w * gap_w
-            if found is None:
+            def beta_quantity(gw, gsw):
+                return lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real
+                                     * base_abs(t, g))
+
+            gap_w, gs, v_w = _squaring_search(
+                lambda gw, gsw: beta_quantity(gw, gsw)(mp.mpf(0), gw),
+                delta_p, mp.mpf(2) ** n)
+            if v_w is None:
                 raise ConstructionFailure(
                     "divergence evidence insufficient at this precision "
                     "(Bloch step %d)" % n, {"step": n})
-            gap_w, gs, v_w = found
-
-            def quant_beta(t, g, gw=gap_w, gsw=gs):
-                return _beta_mp(mp.mpf(0), gw, gsw, t, g).real \
-                    * base_abs(t, g)
+            quant_beta = beta_quantity(gap_w, gs)
 
             # pointwise maximum over the sampled region 1-|z| <= delta_n
             M = max(v_w, region_sup(quant_beta, delta))

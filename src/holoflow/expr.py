@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "HoloExpr",
+    "FunctionHandle",
     "ParseDiagnostic",
     "EvalDomainError",
     "parse",
@@ -295,6 +297,39 @@ def evaluate_array(expr, z):
 def differentiate(expr):
     """Exact symbolic derivative tree."""
     return expr._d()
+
+
+@dataclass
+class FunctionHandle:
+    """A holomorphic function as a (value, derivative) pair of callables."""
+
+    val: object
+    der: object
+
+    @staticmethod
+    def from_source(src) -> "FunctionHandle":
+        """Vectorized handle of a source string or tree, exact derivative."""
+        tree = parse(src) if isinstance(src, str) else src
+        dtree = differentiate(tree)
+        return FunctionHandle(lambda z: evaluate_array(tree, z),
+                              lambda z: evaluate_array(dtree, z))
+
+    @staticmethod
+    def of(f) -> "FunctionHandle":
+        """Normalize a source string, HoloExpr, handle or (f, f') tuple."""
+        if isinstance(f, FunctionHandle):
+            return f
+        if isinstance(f, (str, HoloExpr)):
+            return FunctionHandle.from_source(f)
+        if isinstance(f, tuple) and len(f) == 2:
+            return FunctionHandle(*f)
+        raise TypeError("expected expression, source, handle or (f, f') pair")
+
+    def __call__(self, z):
+        return self.val(z)
+
+    def __iter__(self):            # unpacks like the (f, f') tuples
+        return iter((self.val, self.der))
 
 
 def substitute(expr, replacement):

@@ -28,7 +28,6 @@ __all__ = [
     "box_of",
     "box_contains",
     "translate",
-    "log_distance_proxy",
     "one_minus_abs_sq",
 ]
 
@@ -186,12 +185,6 @@ class GeodesicBox:
     def is_complement(self) -> bool:
         return self.arc.length >= 0.5
 
-    def _circle(self):
-        # center (on the ray through theta_c) and radius of the bounding geodesic
-        half = self.arc.half_angle
-        c = cmath.exp(1j * self.arc.theta_c) / math.cos(half)
-        return c, math.tan(half)
-
     def opposite(self) -> "GeodesicBox":
         return GeodesicBox(Arc((self.arc.theta_c + math.pi) % TWO_PI,
                                1.0 - self.arc.length))
@@ -256,14 +249,3 @@ def translate(f, a):
         return f(phi(a, z)) - fa
 
     return handle
-
-
-def log_distance_proxy(z) -> float:
-    """log(e / (1 - |z|^2)); comparable to 1 + hyperbolic distance to 0."""
-    if isinstance(z, DiscPoint):
-        s = z.one_minus_sq()
-    else:
-        s = float(one_minus_abs_sq(complex(z)))
-        if s <= 0.0:
-            raise ValueError("point not in the open disc")
-    return 1.0 - math.log(s)

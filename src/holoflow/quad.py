@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import expr as _expr
-from .hypgeo import GeodesicBox, one_minus_abs_sq
+from .hypgeo import GeodesicBox
 
 __all__ = [
     "QuadConfig",
@@ -82,10 +82,10 @@ class LimitVerdict:
 # radial panels
 # ---------------------------------------------------------------------------
 
-def _radial_panels(eps_min):
-    """Dyadic annuli [1-2^-k, 1-2^-(k+1)] accumulating at the boundary."""
-    panels = [(0.0, 0.5)]
-    gap = 0.5
+def _radial_panels(eps_min, gap=1.0):
+    """Dyadic annuli [1-g, 1-g/2], g = gap, gap/2, ..., accumulating at the
+    boundary; the last panel ends at the eps_min annulus."""
+    panels = []
     while gap / 2.0 > eps_min:
         panels.append((1.0 - gap, 1.0 - gap / 2.0))
         gap /= 2.0
@@ -97,6 +97,13 @@ def _gl_nodes(a, b, n):
     x, w = leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def _radial_nodes(eps_min, n):
+    """n-point GL nodes and weights over _radial_panels(eps_min), joined."""
+    nodes = [_gl_nodes(a, b, n) for a, b in _radial_panels(eps_min)]
+    return (np.concatenate([r for r, _ in nodes]),
+            np.concatenate([wr for _, wr in nodes]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +128,11 @@ def _disc_value(density, cfg, depth):
 
 
 def disc_integral(density, cfg=QuadConfig()):
-    """Integral of density over the disc w.r.t. dm; returns (value, error)."""
+    """Integral of density over the disc w.r.t. dm; returns (value, error).
+
+    A reference implementation: the tests check closed-form oracles and
+    the box quadrature against it.  No CLI command runs it.
+    """
     prev = _disc_value(density, cfg, 0)
     for depth in range(1, cfg.max_depth + 1):
         cur = _disc_value(density, cfg, depth)
@@ -161,20 +172,18 @@ def _box_value(box, density, cfg, depth):
         u, wu = _gl_nodes(lo, hi, 2 * n_r)
         total += add_section(r_min + u * u, 2.0 * u * wu)
     # dyadic annuli toward the boundary
-    panels = []
-    gap = gap0 / 2.0
-    while gap / 2.0 > cfg.eps_min:
-        panels.append((1.0 - gap, 1.0 - gap / 2.0))
-        gap /= 2.0
-    panels.append((1.0 - gap, 1.0 - cfg.eps_min))
-    for a, b in panels:
+    for a, b in _radial_panels(cfg.eps_min, gap0 / 2.0):
         r, wr = _gl_nodes(a, b, n_r)
         total += add_section(r, wr)
     return total
 
 
 def box_integral(box, density, cfg=QuadConfig()):
-    """Integral of density over S(I) (clipped at the eps_min annulus)."""
+    """Integral of density over S(I) (clipped at the eps_min annulus).
+
+    A reference implementation: the tests check the extended-precision box
+    average (construct.mp_box_average) against it.  No CLI command runs it.
+    """
     if not isinstance(box, GeodesicBox):
         raise TypeError("box must be a GeodesicBox")
     l = box.arc.length
@@ -217,8 +226,8 @@ def _disc_grid_points(resolution, eps_min):
 def grid_sup(sampler, region, resolution, cfg=QuadConfig()):
     """Maximum of sampler over a deterministic grid on the region.
 
-    region is ("disc",), ("circle", r) or ("box", GeodesicBox).  Refining the
-    resolution never decreases the value (grids are nested).
+    region is ("disc",) or ("circle", r).  Refining the resolution never
+    decreases the value (grids are nested).
     """
     kind = region[0]
     if kind == "circle":
@@ -227,21 +236,6 @@ def grid_sup(sampler, region, resolution, cfg=QuadConfig()):
         rings = [region[1] * np.exp(1j * thetas)]
     elif kind == "disc":
         rings = _disc_grid_points(resolution, cfg.eps_min)
-    elif kind == "box":
-        box = region[1]
-        rings = []
-        r_min = box.closest_radius
-        for j in range(resolution + 1):
-            gap = (1.0 - r_min) * 2.0 ** (-j)
-            if gap < cfg.eps_min:
-                break
-            r = 1.0 - gap
-            half = float(box.angular_halfwidth(np.asarray(r)))
-            if math.isnan(half):
-                continue
-            n_t = 2 ** (min(resolution, 8) + 3)
-            phis = box.arc.theta_c + half * (2.0 * np.arange(n_t) / (n_t - 1.0) - 1.0)
-            rings.append(r * np.exp(1j * phis))
     else:
         raise ValueError("unknown region %r" % (region,))
 

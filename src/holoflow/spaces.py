@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as _expr
-from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq, phi, translate
-from .quad import (LimitVerdict, QuadConfig, SupEstimate, _gl_nodes,
-                   _radial_panels, classify_sequence, grid_sup, radial_limit,
-                   radial_schedule)
+from .expr import FunctionHandle
+from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq, translate
+from .quad import (LimitVerdict, QuadConfig, _gl_nodes, _radial_nodes,
+                   classify_sequence, grid_sup, radial_limit, radial_schedule)
 from .semigroup import classify, gamma_symbol
 
 __all__ = [
@@ -127,28 +127,6 @@ def weight_regularity(w: Weight, n_check=400) -> float:
 
 
 # ---------------------------------------------------------------------------
-# function handles
-# ---------------------------------------------------------------------------
-
-def _as_pair(f):
-    """Normalize f into (value, derivative) vectorized callables.
-
-    Accepts a HoloExpr, a source string, a (value, derivative) pair of
-    callables, or a bare callable derivative-carrying object is not needed:
-    most estimators only use the derivative.
-    """
-    if isinstance(f, str):
-        f = _expr.parse(f)
-    if isinstance(f, _expr.HoloExpr):
-        tree, dtree = f, _expr.differentiate(f)
-        return (lambda z: _expr.evaluate_array(tree, z),
-                lambda z: _expr.evaluate_array(dtree, z))
-    if isinstance(f, tuple) and len(f) == 2:
-        return f
-    raise TypeError("expected expression, source, or (f, f') pair")
-
-
-# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -187,7 +165,7 @@ class MinimalityReport:
 # ---------------------------------------------------------------------------
 
 def _bloch_sampler(f, w):
-    _, fp = _as_pair(f)
+    _, fp = FunctionHandle.of(f)
 
     def sampler(z):
         oms = one_minus_abs_sq(z)
@@ -199,19 +177,17 @@ def _bloch_sampler(f, w):
 def bloch_seminorm(f, w=Weight.unit(), resolution=12,
                    cfg=QuadConfig()) -> SeminormReport:
     """Grid lower bound for sup |f'(z)| (1-|z|^2) omega(z)."""
+    if resolution < 4:
+        raise ValueError("resolution must be at least 4, got %r"
+                         % (resolution,))
     sampler = _bloch_sampler(f, w)
     history = []
     best = None
-    for res in range(4, resolution + 1, 2):
+    for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
         est = grid_sup(sampler, ("disc",), res, cfg)
         if best is None or est.value >= best.value:
             best = est
         history.append((res, best.value))
-    if history[-1][0] != resolution:
-        est = grid_sup(sampler, ("disc",), resolution, cfg)
-        if est.value >= best.value:
-            best = est
-        history.append((resolution, best.value))
     return SeminormReport("bloch", w, best.value, best.argmax,
                           resolution, history)
 
@@ -242,34 +218,31 @@ def bloch_vanishing(f, w=Weight.unit(), n_angles=256,
 # Carleson-box averages on the master grid
 # ---------------------------------------------------------------------------
 
-def _master_grid(J, n_gl=4, tail_depth=8):
+N_GL = 4          # Gauss-Legendre nodes per dyadic annulus
+TAIL_DEPTH = 8    # annuli of the master grid beyond the finest arc octave
+
+
+def _master_grid(J):
     """Polar grid: dyadic annuli with GL radial nodes, uniform angles.
 
     Returns (r nodes, ring weights with the 2 r dr factor, n_theta).  The
     integral of a density against dm is sum_i wr_i * mean_over_theta(row_i).
     """
     n_theta = 1 << (min(J, 12) + 4)
-    k_cap = min(max(J + tail_depth, 16), 38)
-    radii, weights = [], []
-    gap = 1.0
-    for _ in range(k_cap):
-        a, b = 1.0 - gap, 1.0 - gap / 2.0
-        r, wr = _gl_nodes(a, b, n_gl)
-        radii.append(r)
-        weights.append(wr * 2.0 * r)
-        gap /= 2.0
-    return np.concatenate(radii), np.concatenate(weights), n_theta
+    k_cap = min(max(J + TAIL_DEPTH, 16), 38)
+    r, wr = _radial_nodes(2.0 ** -k_cap, N_GL)
+    return r, wr * 2.0 * r, n_theta
 
 
-def _box_average_family(f, w, J, n_gl=4, fracs=(1.0, 0.75)):
+def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
     """Box averages of |f'|^2 (1-|z|^2) over the dyadic arc family.
 
     Returns {j: (centers, averages)} for arcs of length 2^-j, j = 0..J, with
     centers on the 2^(j+2)-point angular grid, each average already carrying
     the 1/l normalization and the weight's arc factor.
     """
-    _, fp = _as_pair(f)
-    r, wr, n_theta = _master_grid(J, n_gl)
+    _, fp = FunctionHandle.of(f)
+    r, wr, n_theta = _master_grid(J)
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     z = r[:, None] * np.exp(1j * thetas[None, :])
     vals = np.abs(fp(z)) ** 2 * one_minus_abs_sq(z)
@@ -280,10 +253,9 @@ def _box_average_family(f, w, J, n_gl=4, fracs=(1.0, 0.75)):
     totals = pref[:, -1]
     dtheta = 2.0 * math.pi / n_theta
 
-    def window(i, lo, hi):
-        """Integral of ring i cell values over angle-index window [lo, hi]."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+    def window(rows, lo, hi):
+        """Integrals of the given rings' cell values over angle-index
+        windows [lo, hi] (one row of windows per ring)."""
         wrap = np.floor(lo / n_theta)
         lo = lo - wrap * n_theta
         hi = hi - wrap * n_theta
@@ -292,7 +264,8 @@ def _box_average_family(f, w, J, n_gl=4, fracs=(1.0, 0.75)):
             full = np.floor(x / n_theta)
             x = x - full * n_theta
             k = np.minimum(x.astype(int), n_theta - 1)
-            return full * totals[i] + pref[i, k] + (x - k) * vals[i, k]
+            return (full * totals[rows] + pref[rows, k]
+                    + (x - k) * vals[rows, k])
 
         return cum(hi) - cum(lo)
 
@@ -306,14 +279,15 @@ def _box_average_family(f, w, J, n_gl=4, fracs=(1.0, 0.75)):
             centers = np.arange(n_c) * (2.0 * math.pi / n_c)
             box = GeodesicBox(Arc(0.0, length))
             half = box.angular_halfwidth(r)  # per-ring halfwidth, nan = empty
-            acc = np.zeros(n_c)
-            for i in range(r.size):
-                h = float(half[i])
-                if math.isnan(h) or h <= 0.0:
-                    continue
-                lo = (centers - h) / dtheta
-                hi = (centers + h) / dtheta
-                acc += wr[i] * window(i, lo, hi) / n_theta
+            rows = np.nonzero(half > 0.0)[0][:, None]
+            h = half[rows]
+            # column blocks of ~2^14 cells keep the temporaries in cache;
+            # each column sums its rings in ring order, as a loop would
+            step = max(1, (1 << 14) // max(rows.size, 1))
+            acc = np.concatenate([
+                np.sum(wr[rows] * window(rows, (c - h) / dtheta,
+                                         (c + h) / dtheta) / n_theta, axis=0)
+                for c in np.split(centers, range(step, n_c, step))])
             out.append((j, length, centers,
                         w.arc_factor(length) * acc / length))
     return out
@@ -326,6 +300,8 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8, cfg=QuadConfig(),
     fracs sets the arc lengths per octave (fracs=(1.0,) with J=0 restricts
     to the full-circle arc, whose average is the plain disc integral).
     """
+    if J < 0:
+        raise ValueError("depth J must be nonnegative, got %r" % (J,))
     fam = _box_average_family(f, w, J, fracs=fracs)
     best_val, best_arc = -math.inf, None
     history = []
@@ -336,10 +312,9 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8, cfg=QuadConfig(),
         if avgs[k] > best_val:
             best_val = float(avgs[k])
             best_arc = Arc(float(centers[k]), length)
-        if not history or j > history[-1][0]:
-            history.append((j, math.sqrt(max(best_val, 0.0))))
-        else:
-            history[-1] = (j, math.sqrt(max(best_val, 0.0)))
+        if history and history[-1][0] == j:
+            history.pop()
+        history.append((j, math.sqrt(max(best_val, 0.0))))
     series = sorted(octave_sup.items())
     tail = [v for _, v in series[-6:]]
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
@@ -392,21 +367,14 @@ class GarsiaIntegrator:
     only resolved if arg(a) was passed as a hot angle.
     """
 
-    def __init__(self, sq_density, hot_angles=(), cfg=QuadConfig(), n_gl=4):
+    def __init__(self, sq_density, hot_angles=(), cfg=QuadConfig(), n_gl=N_GL):
         t = _adaptive_angles(sorted(set(float(h) % (2.0 * math.pi)
                                         for h in hot_angles)))
         # periodic trapezoid weights on the nonuniform angular mesh
         gaps = np.diff(np.concatenate((t, [t[0] + 2.0 * math.pi])))
         wt = 0.5 * (gaps + np.roll(gaps, 1))
-        rs, wrs, oms = [], [], []
-        for lo, hi in _radial_panels(cfg.eps_min):
-            r, wr = _gl_nodes(lo, hi, n_gl)
-            rs.append(r)
-            wrs.append(wr)
-            oms.append((1.0 - r) * (1.0 + r))
-        r = np.concatenate(rs)
-        wr = np.concatenate(wrs)
-        oms = np.concatenate(oms)
+        r, wr = _radial_nodes(cfg.eps_min, n_gl)
+        oms = (1.0 - r) * (1.0 + r)
         z = r[:, None] * np.exp(1j * t[None, :])
         g = np.asarray(sq_density(z), dtype=float)
         g = np.where(np.isfinite(g), g, 0.0)
@@ -437,21 +405,30 @@ def _density_hot_angles(sq_density, n_scan=4096, r_probe=1.0 - 1e-6,
     return [float(t[k]) for k in np.nonzero(peaks)[0]][:8]
 
 
-def garsia_integrals(sq_density, a_values, cfg=QuadConfig(), hot_angles=()):
-    """int sq_density(z) (1 - |phi_a(z)|^2) dm(z) for each a (one-shot)."""
-    a = np.atleast_1d(np.asarray(a_values, dtype=complex))
-    hot = list(hot_angles) + [float(np.angle(ai)) for ai in a if ai != 0]
-    return GarsiaIntegrator(sq_density, hot, cfg)(a)
+def _garsia_sweep(fp, factor, n_angles, cfg):
+    """Classify factor(1 - r^2) max_{|a| = r} int |f'|^2 (1 - |phi_a|^2) dm
+    along the dyadic radial schedule, a on n_angles equispaced angles."""
+    thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
+    eit = np.exp(1j * thetas)
+    sq = lambda z: np.abs(fp(z)) ** 2
+    integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq), cfg)
+    samples = []
+    for _, r in radial_schedule(cfg):
+        v = factor((1.0 - r) * (1.0 + r)) * float(np.max(integ(r * eit)))
+        if math.isfinite(v):
+            samples.append((r, v))
+    return classify_sequence(samples, cfg)
 
 
 def garsia_quantity(f, w=Weight.unit(), a_values=(0.0,),
                     cfg=QuadConfig()):
     """omega(a)^2 int |f'|^2 (1 - |phi_a|^2) dm for each a."""
-    _, fp = _as_pair(f)
+    _, fp = FunctionHandle.of(f)
     a = np.atleast_1d(np.asarray(a_values, dtype=complex))
     sq = lambda z: np.abs(fp(z)) ** 2
-    vals = garsia_integrals(sq, a, cfg, hot_angles=_density_hot_angles(sq))
-    return w.omega(a) ** 2 * vals
+    hot = [float(np.angle(ai)) for ai in a if ai != 0]
+    integ = GarsiaIntegrator(sq, _density_hot_angles(sq) + hot, cfg)
+    return w.omega(a) ** 2 * integ(a)
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +477,8 @@ def _lvmo_verdict(gen, cfg, n_angles=16, printed_form=False):
         _, gp = gamma_symbol(gen, cfg)
     else:
         gp = lambda z: 1j / _expr.evaluate_array(gen.G, z)
-    thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
-    eit = np.exp(1j * thetas)
-    sq = lambda z: np.abs(gp(z)) ** 2
-    integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq), cfg)
-
-    samples = []
-    for j, r in radial_schedule(cfg):
-        inner = integ(r * eit)
-        oms = (1.0 - r) * (1.0 + r)
-        lam = (math.log(math.e / oms)) ** 2 * float(np.max(inner))
-        if math.isfinite(lam):
-            samples.append((r, lam))
-    return classify_sequence(samples, cfg)
+    return _garsia_sweep(gp, lambda oms: (math.log(math.e / oms)) ** 2,
+                         n_angles, cfg)
 
 
 def lvmo_check(gen, cfg=QuadConfig(), printed_form=False) -> ConditionReport:
@@ -579,23 +545,18 @@ def pommerenke_check(f, w: Weight, cfg=QuadConfig(),
     along |a| = r.  If the hypothesis verdict is not "vanishes" the report
     records that and makes no contract claim.
     """
-    fv, fp = _as_pair(f)
+    fv, fp = FunctionHandle.of(f)
     if not _univalence_probe(fv):
         raise ValueError("collision probe failed: f is not univalent on grid")
     if weight_regularity(w) >= 1.0:
         raise ValueError("weight regularity constant must be < 1")
     hyp = bloch_vanishing((fv, fp), w, cfg=cfg)
 
-    thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
-    eit = np.exp(1j * thetas)
-    sq = lambda z: np.abs(fp(z)) ** 2
-    integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq), cfg)
-    samples = []
-    for j, r in radial_schedule(cfg):
-        inner = integ(r * eit)
-        om = float(w.from_oms(np.array([(1.0 - r) * (1.0 + r)]))[0])
-        samples.append((r, om * om * float(np.max(inner))))
-    concl = classify_sequence(samples, cfg)
+    def weight_sq(oms):
+        om = float(w.from_oms(np.array([oms]))[0])
+        return om * om
+
+    concl = _garsia_sweep(fp, weight_sq, n_angles, cfg)
     applies = hyp.tag == "vanishes"
     holds = (concl.tag == "vanishes") if applies else None
     return PommerenkeReport(True, hyp, concl, applies, holds)
@@ -609,7 +570,7 @@ def lemma31_integral(f, w: Weight, cfg=QuadConfig(), J=30):
     Returns (estimate, "finite" | "growth") where "growth" flags an
     increasing dyadic tail.
     """
-    fv, _ = _as_pair(f)
+    fv, _ = FunctionHandle.of(f)
     a_grid = [rr * np.exp(2j * math.pi * k / 8)
               for rr in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-8)
               for k in range(8)]

@@ -9,15 +9,16 @@ module's arc/grid family so differences across t are not grid noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as _expr
 from . import spaces
+from .expr import FunctionHandle
 from .quad import QuadConfig, line_integral
 from .semigroup import flow_points
-from .spaces import Weight, _as_pair
+from .spaces import Weight
 
 __all__ = [
     "FunctionHandle",
@@ -43,30 +44,10 @@ STANDARD_FAMILY = (
 )
 
 
-@dataclass
-class FunctionHandle:
-    """A holomorphic function as a (value, derivative) pair of callables."""
-
-    val: object
-    der: object
-
-    def __call__(self, z):
-        return self.val(z)
-
-    def __iter__(self):            # unpacks like the (f, f') tuples
-        return iter((self.val, self.der))
-
-    @property
-    def pair(self):
-        return (self.val, self.der)
-
-
 def volterra_apply(g, f, cfg=QuadConfig()) -> FunctionHandle:
     """T_g f(z) = int_0^z f(s) g'(s) ds; T_g f(0) = 0 exactly."""
-    fv, _ = _as_pair(f)
-    if isinstance(g, str):
-        g = _expr.parse(g)
-    _, gp = _as_pair(g)
+    fv, _ = FunctionHandle.of(f)
+    _, gp = FunctionHandle.of(g)
 
     def der(z):
         return fv(np.asarray(z, dtype=complex)) * gp(np.asarray(z, dtype=complex))
@@ -82,7 +63,7 @@ def volterra_apply(g, f, cfg=QuadConfig()) -> FunctionHandle:
 
 def compose_apply(gen, t, f, cfg=QuadConfig()) -> FunctionHandle:
     """C_t f = f o phi_t as a vectorized (value, derivative) handle."""
-    fv, fp = _as_pair(f)
+    fv, fp = FunctionHandle.of(f)
     if t < 0:
         raise ValueError("t must be nonnegative")
 
@@ -118,7 +99,7 @@ def continuity_probe(gen, f, times, space="bmoa", w=Weight.unit(),
     times = list(times)
     if any(t <= 0 for t in times) or any(b >= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be positive and strictly decreasing")
-    fv, fp = _as_pair(f)
+    fv, fp = FunctionHandle.of(f)
     values = []
     for t in times:
         ct = compose_apply(gen, t, (fv, fp), cfg)
@@ -153,7 +134,7 @@ def dense_core_test(gen, f, space="bloch", w=Weight.unit(),
                     cfg=QuadConfig()) -> CoreReport:
     """Derivative-level core membership: is the function with derivative
     G f' in the space (finite, stable seminorm)?"""
-    _, fp = _as_pair(f)
+    _, fp = FunctionHandle.of(f)
     der = lambda z: _expr.evaluate_array(gen.G, z) * fp(z)
     handle = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)), der)
     if space == "bmoa":
@@ -178,10 +159,10 @@ class OperatorProbe:
     marker: str = "probe, not proof"
 
 
-def _space_norm(pair, space, w, J, cfg):
+def _space_norm(f, space, w, J, cfg):
     if space == "bmoa":
-        return spaces.bmoa_seminorm(pair, w, J=J, cfg=cfg).value
-    return spaces.bloch_seminorm(pair, w, resolution=J + 4, cfg=cfg).value
+        return spaces.bmoa_seminorm(f, w, J=J, cfg=cfg).value
+    return spaces.bloch_seminorm(f, w, resolution=J + 4, cfg=cfg).value
 
 
 def boundedness_probe(g, space="bmoa", family=STANDARD_FAMILY,
@@ -201,18 +182,17 @@ def boundedness_probe(g, space="bmoa", family=STANDARD_FAMILY,
         g_src = _expr.to_source(g) if isinstance(g, _expr.HoloExpr) else repr(g)
     members, mnorms, inorms, ratios, growth = [], [], [], [], []
     for src in family:
-        f = _expr.parse(src) if isinstance(src, str) else src
-        fv, fp = _as_pair(f)
-        f0 = abs(complex(fv(np.array([0.0 + 0.0j]))[0]))
-        image = volterra_apply(g, (fv, fp), cfg)
+        f = FunctionHandle.of(src)
+        f0 = abs(complex(f.val(np.array([0.0 + 0.0j]))[0]))
+        image = volterra_apply(g, f, cfg)
         r = []
         for J in (J_coarse, J_fine):
-            num = _space_norm(image.pair, space, w, J, cfg)
-            den = _space_norm((fv, fp), space, w, J, cfg) + f0
+            num = _space_norm(image, space, w, J, cfg)
+            den = _space_norm(f, space, w, J, cfg) + f0
             r.append(num / den if den > 0 else math.inf)
         members.append(src if isinstance(src, str) else _expr.to_source(src))
-        mnorms.append(_space_norm((fv, fp), space, w, J_fine, cfg) + f0)
-        inorms.append(_space_norm(image.pair, space, w, J_fine, cfg))
+        mnorms.append(den)            # num and den as computed at J_fine
+        inorms.append(num)
         ratios.append(r[1])
         growth.append(r[1] / r[0] if r[0] > 0 else math.inf)
     return OperatorProbe(g_src, space, members, mnorms, inorms, ratios, growth)

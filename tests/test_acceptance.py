@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from holoflow import cli, construct, expr, volterra
+from holoflow.expr import FunctionHandle
 from holoflow.hypgeo import (Arc, DiscPoint, MobiusMap, arc_of, box_of,
                              hyp_dist, midpoint_from_origin, phi)
 from holoflow.quad import QuadConfig, box_integral, disc_integral
@@ -36,13 +37,6 @@ CLOSED_FORMS = {
 # recorded oracle floor for the Sarason probe of f = log(e/(1-z)) under
 # G = i z over times (1e-1, 1e-2, 1e-3); measured once and frozen
 SARASON_RECORDED_FLOOR = 1.2858247604386719
-
-
-def _pair(src):
-    tree = expr.parse(src)
-    dtree = expr.differentiate(tree)
-    return (lambda z: expr.evaluate_array(tree, z),
-            lambda z: expr.evaluate_array(dtree, z))
 
 
 def _ok(n, text):
@@ -137,7 +131,8 @@ def test_criterion_05_seminorm_oracles():
     full = box_integral(box_of(Arc(0.0, 1.0)),
                         lambda z: 1.0 - np.abs(z) ** 2, CFG)
     assert abs(full - 0.5) <= 1e-9
-    rep = bloch_seminorm(_pair("log(e/(1 - z))"), resolution=16)
+    rep = bloch_seminorm(FunctionHandle.from_source("log(e/(1 - z))"),
+                         resolution=16)
     vals = [v for _, v in rep.history]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     at_12 = dict(rep.history)[12]
@@ -147,14 +142,14 @@ def test_criterion_05_seminorm_oracles():
 
 
 def test_criterion_06_classical_space_verdicts():
-    assert bmoa_vanishing(_pair("z")).tag == "vanishes"
-    rep_log = bmoa_seminorm(_pair("log(e/(1 - z))"))
+    assert bmoa_vanishing(FunctionHandle.from_source("z")).tag == "vanishes"
+    rep_log = bmoa_seminorm(FunctionHandle.from_source("log(e/(1 - z))"))
     assert math.isfinite(rep_log.value) and rep_log.value <= 5.0
-    assert bmoa_vanishing(_pair("log(e/(1 - z))")).tag == \
-        "bounded_nonvanishing"
+    log_f = FunctionHandle.from_source("log(e/(1 - z))")
+    assert bmoa_vanishing(log_f).tag == "bounded_nonvanishing"
     g = "(log(e/(1 - z)))^0.5"
-    assert bmoa_vanishing(_pair(g)).tag == "vanishes"
-    rep = bmoa_seminorm(_pair(g), Weight.log(), J=10)
+    assert bmoa_vanishing(FunctionHandle.from_source(g)).tag == "vanishes"
+    rep = bmoa_seminorm(FunctionHandle.from_source(g), Weight.log(), J=10)
     sups = dict(rep.scale_series)
     ratios = [sups[j + 1] / sups[j] for j in range(3, 10)]
     assert all(r >= 1.05 for r in ratios)
@@ -178,9 +173,11 @@ def test_criterion_07_theorem_verdict_consistency():
 def test_criterion_08_sarason_probe():
     gen = Generator.from_source("i*z")
     times = (0.1, 0.01, 0.001)
-    dec = volterra.continuity_probe(gen, _pair("z"), times)
+    dec = volterra.continuity_probe(gen, FunctionHandle.from_source("z"),
+                                    times)
     assert dec.values[0] / dec.values[-1] >= 8.0
-    flo = volterra.continuity_probe(gen, _pair("log(e/(1 - z))"), times)
+    flo = volterra.continuity_probe(
+        gen, FunctionHandle.from_source("log(e/(1 - z))"), times)
     assert flo.floor >= 0.05
     assert flo.floor >= 0.8 * SARASON_RECORDED_FLOOR
     _ok(8, "C_t probe: f = z decays %.0fx; f = log floor %.3f >= 0.05 "
@@ -239,7 +236,7 @@ def test_criterion_11_weighted_pommerenke_check():
     w = Weight.log_K(math.e ** 4)
     assert abs(weight_regularity(w) - 0.5) <= 1e-10
     f = "0.66666666666666663*(1 - z)^1.5"       # f' = -(1-z)^{1/2}
-    rep = pommerenke_check(_pair(f), w)
+    rep = pommerenke_check(FunctionHandle.from_source(f), w)
     assert rep.univalent
     assert rep.hypothesis.tag == "vanishes"
     assert rep.conclusion.tag == "vanishes"

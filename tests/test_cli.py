@@ -92,6 +92,28 @@ def test_domain_error_exits_3(capsys):
     assert doc["error"]["exit_code"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--steps", "0"),
+    ("construct", "--steps", "-1"),
+    ("construct", "--space", "bloch", "--steps", "0"),
+    ("norm", "--function", "z", "--J", "-1"),
+    ("norm", "--function", "z", "--space", "bloch", "--J", "-3"),
+])
+def test_out_of_range_steps_and_depth_exit_3(capsys, argv):
+    code, doc = run_json(capsys, *argv)       # exactly one JSON document
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "ValueError"
+
+
+def test_flow_reaching_the_guard_annulus_exits_4(capsys):
+    code, doc = run_json(capsys, "flow", "--generator", "z", "--z0", "0.5",
+                         "--t", "10")       # exactly one JSON document
+    assert code == cli.EXIT_NUMERIC
+    assert doc["error"]["exit_code"] == 4
+    assert doc["error"]["type"] == "FlowBlowupError"
+
+
 def test_construct_negative_control_reports_failure_outcome(capsys):
     code, doc = run_json(capsys, "construct", "--steps", "1",
                          "--symbol", "linear")

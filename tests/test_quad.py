@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from holoflow.hypgeo import Arc, GeodesicBox, box_of, phi
-from holoflow.quad import (QuadConfig, QuadFailure, box_integral,
-                           classify_sequence, disc_integral, grid_sup,
-                           line_integral, radial_limit, radial_schedule)
+from holoflow.quad import (QuadConfig, QuadFailure, _radial_panels,
+                           box_integral, classify_sequence, disc_integral,
+                           grid_sup, line_integral, radial_limit,
+                           radial_schedule)
 
 CFG = QuadConfig()
 
@@ -142,6 +143,17 @@ def test_radial_schedule_is_dyadic_and_capped():
     assert all(1.0 - r >= CFG.eps_min for _, r in sched)
     gaps = [1.0 - r for _, r in sched]
     assert all(a / b == pytest.approx(2.0) for a, b in zip(gaps, gaps[1:]))
+
+
+def test_radial_panels_are_the_dyadic_annuli():
+    # the master grid's k_cap annuli [1 - 2^-i, 1 - 2^-(i+1)], i < k_cap
+    for k_cap in (16, 20, 38):
+        assert _radial_panels(2.0 ** -k_cap) == \
+            [(1.0 - 2.0 ** -i, 1.0 - 2.0 ** -(i + 1)) for i in range(k_cap)]
+    # a later start gap (box quadrature); the last panel ends at eps_min
+    assert _radial_panels(1e-3, gap=0.25) == \
+        [(1.0 - 2.0 ** -i, 1.0 - 2.0 ** -(i + 1)) for i in range(2, 9)] + \
+        [(1.0 - 2.0 ** -9, 1.0 - 1e-3)]
 
 
 def test_radial_limit_verdict_stability_under_doubled_range():

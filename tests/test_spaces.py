@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import expr, spaces
-from holoflow.hypgeo import phi
+from holoflow import spaces
+from holoflow.expr import FunctionHandle
+from holoflow.hypgeo import Arc, GeodesicBox, one_minus_abs_sq, phi
 from holoflow.quad import QuadConfig
 from holoflow.semigroup import Generator
 from holoflow.spaces import (Weight, bloch_seminorm, bloch_vanishing,
@@ -20,13 +21,6 @@ CFG = QuadConfig()
 F_Z = "z"
 F_LOG = "log(e/(1 - z))"
 F_LOGHALF = "(log(e/(1 - z)))^0.5"
-
-
-def _pair(src):
-    tree = expr.parse(src)
-    dtree = expr.differentiate(tree)
-    return (lambda z: expr.evaluate_array(tree, z),
-            lambda z: expr.evaluate_array(dtree, z))
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +54,12 @@ def test_pommerenke_weight_constant():
 
 def test_bloch_seminorm_of_z():
     # sup (1-|z|^2) = 1 at the origin
-    assert bloch_seminorm(_pair(F_Z)).value == pytest.approx(1.0, abs=1e-12)
+    assert bloch_seminorm(FunctionHandle.from_source(F_Z)).value == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_bloch_seminorm_of_log_refines_toward_two():
-    rep = bloch_seminorm(_pair(F_LOG), resolution=16)
+    rep = bloch_seminorm(FunctionHandle.from_source(F_LOG), resolution=16)
     vals = [v for _, v in rep.history]
     assert all(b >= a for a, b in zip(vals, vals[1:]))   # monotone refinement
     assert rep.value >= 1.95
@@ -73,7 +68,7 @@ def test_bloch_seminorm_of_log_refines_toward_two():
 
 def test_bloch_mobius_invariance_within_two_percent():
     for src in (F_Z, F_LOG):
-        fv, fp = _pair(src)
+        fv, fp = FunctionHandle.from_source(src)
         base = bloch_seminorm((fv, fp)).value
         for a in (0.5, 0.3 + 0.4j):
             der = lambda z: fp(phi(a, z)) * (-(1 - abs(a) ** 2)
@@ -83,9 +78,11 @@ def test_bloch_mobius_invariance_within_two_percent():
 
 
 def test_bloch_vanishing_verdicts():
-    assert bloch_vanishing(_pair(F_Z)).tag == "vanishes"
-    assert bloch_vanishing(_pair(F_LOG)).tag == "bounded_nonvanishing"
-    assert bloch_vanishing(_pair(F_LOGHALF)).tag == "vanishes"
+    assert bloch_vanishing(FunctionHandle.from_source(F_Z)).tag == "vanishes"
+    assert bloch_vanishing(FunctionHandle.from_source(F_LOG)).tag == \
+        "bounded_nonvanishing"
+    assert bloch_vanishing(FunctionHandle.from_source(F_LOGHALF)).tag == \
+        "vanishes"
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +91,14 @@ def test_bloch_vanishing_verdicts():
 
 def test_bmoa_seminorm_full_circle_oracle():
     # average of |f'|^2 (1-|z|^2) over the whole disc for f = z is 1/2
-    rep = bmoa_seminorm(_pair(F_Z), J=0, fracs=(1.0,))
+    rep = bmoa_seminorm(FunctionHandle.from_source(F_Z), J=0, fracs=(1.0,))
     assert rep.value == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
 def test_bmoa_seminorm_log_is_finite_and_moderate():
     # at depth J = 12 the per-octave sups level off (the J = 8 tail is still
     # inside the slow approach to the limiting average and looks growing)
-    rep = bmoa_seminorm(_pair(F_LOG), J=12)
+    rep = bmoa_seminorm(FunctionHandle.from_source(F_LOG), J=12)
     assert 0.5 <= rep.value <= 5.0
     assert rep.trend != "growing"
 
@@ -109,25 +106,81 @@ def test_bmoa_seminorm_log_is_finite_and_moderate():
 def test_bmoa_log_weighted_divergence_of_half_log():
     # the classical non-example: g in VMOA but not BMOA_log; the per-octave
     # sups grow monotonically with ratio >= 1.05 over j = 3..10
-    rep = bmoa_seminorm(_pair(F_LOGHALF), Weight.log(), J=10)
+    rep = bmoa_seminorm(FunctionHandle.from_source(F_LOGHALF), Weight.log(),
+                        J=10)
     sups = dict(rep.scale_series)
     ratios = [sups[j + 1] / sups[j] for j in range(3, 10)]
     assert all(r >= 1.05 for r in ratios)
     assert rep.trend == "growing"
 
 
+def _box_family_per_ring(fp, J, fracs=(1.0, 0.75)):
+    """Reference for spaces._box_average_family (unit weight): the same
+    windows, with ring contributions added one ring at a time."""
+    r, wr, n_theta = spaces._master_grid(J)
+    thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    z = r[:, None] * np.exp(1j * thetas[None, :])
+    vals = np.abs(fp(z)) ** 2 * one_minus_abs_sq(z)
+    vals = np.where(np.isfinite(vals), vals, 0.0)
+    pref = np.concatenate([np.zeros((r.size, 1)), np.cumsum(vals, axis=1)],
+                          axis=1)
+    dtheta = 2.0 * math.pi / n_theta
+
+    def cum(i, x):
+        full = np.floor(x / n_theta)
+        x = x - full * n_theta
+        k = np.minimum(x.astype(int), n_theta - 1)
+        return full * pref[i, -1] + pref[i, k] + (x - k) * vals[i, k]
+
+    out = []
+    for j in range(J + 1):
+        for frac in fracs:
+            length = frac * 2.0 ** (-j)
+            if length > 1.0:
+                continue
+            n_c = 1 << (j + 2)
+            centers = np.arange(n_c) * (2.0 * math.pi / n_c)
+            half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
+            acc = np.zeros(n_c)
+            for i in range(r.size):
+                h = float(half[i])
+                if math.isnan(h) or h <= 0.0:
+                    continue
+                lo, hi = (centers - h) / dtheta, (centers + h) / dtheta
+                wrap = np.floor(lo / n_theta)
+                acc += wr[i] * (cum(i, hi - wrap * n_theta)
+                                - cum(i, lo - wrap * n_theta)) / n_theta
+            out.append((j, length, centers, acc / length))
+    return out
+
+
+def test_box_family_gather_equals_per_ring_loop():
+    # the gathered family adds the rings in the same order: equal bits
+    for src, J in ((F_LOG, 6), (F_LOGHALF, 9), ("(0.5 - z)/(1 - 0.5*z)", 3)):
+        f = FunctionHandle.from_source(src)
+        got = spaces._box_average_family(f, Weight.unit(), J)
+        ref = _box_family_per_ring(f.der, J)
+        assert len(got) == len(ref)
+        for (j, length, centers, avgs), (rj, rl, rc, ravgs) in zip(got, ref):
+            assert (j, length) == (rj, rl)
+            assert np.array_equal(centers, rc)
+            assert np.array_equal(avgs, ravgs), (src, j, length)
+
+
 def test_vmoa_verdicts():
-    assert bmoa_vanishing(_pair(F_Z)).tag == "vanishes"
-    assert bmoa_vanishing(_pair(F_LOG)).tag == "bounded_nonvanishing"
-    verdict = bmoa_vanishing(_pair(F_LOGHALF))
+    assert bmoa_vanishing(FunctionHandle.from_source(F_Z)).tag == "vanishes"
+    assert bmoa_vanishing(FunctionHandle.from_source(F_LOG)).tag == \
+        "bounded_nonvanishing"
+    verdict = bmoa_vanishing(FunctionHandle.from_source(F_LOGHALF))
     assert verdict.tag == "vanishes"        # 1/log decay via the slope rule
 
 
 def test_space_chain_vmoa_inside_little_bloch():
     # every corpus member with a VMOA verdict also vanishes in Bloch sense
     for src in (F_Z, F_LOGHALF, "z^2", "(0.5 - z)/(1 - 0.5*z)"):
-        if bmoa_vanishing(_pair(src)).tag == "vanishes":
-            assert bloch_vanishing(_pair(src)).tag == "vanishes"
+        f = FunctionHandle.from_source(src)
+        if bmoa_vanishing(f).tag == "vanishes":
+            assert bloch_vanishing(f).tag == "vanishes"
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +196,8 @@ def _garsia_series_oracle(a, terms=4000):
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 0.7j, -0.9, 0.99 * np.exp(0.3j)])
 def test_garsia_quantity_matches_series_oracle(a):
-    val = float(garsia_quantity(_pair(F_Z), a_values=[a])[0])
+    val = float(garsia_quantity(FunctionHandle.from_source(F_Z),
+                                a_values=[a])[0])
     assert val == pytest.approx(_garsia_series_oracle(a), rel=0.02)
 
 
@@ -151,7 +205,7 @@ def test_garsia_pointwise_mobius_identity():
     # Q_{f o phi_b}(a) = Q_f(phi_b(a)) -- the exact invariance behind the
     # box-form comparability
     b = 0.4 - 0.2j
-    fv, fp = _pair(F_LOG)
+    fv, fp = FunctionHandle.from_source(F_LOG)
     der = lambda z: fp(phi(b, z)) * (-(1 - abs(b) ** 2)
                                      / (1 - np.conj(b) * z) ** 2)
     for a in (0.0, 0.3, 0.5j):
@@ -164,7 +218,7 @@ def test_garsia_pointwise_mobius_identity():
 def test_garsia_box_comparability_bracket():
     # Carleson-box and Garsia forms agree within the absolute bracket [1/8, 8]
     for src in (F_Z, F_LOG, F_LOGHALF):
-        pair = _pair(src)
+        pair = FunctionHandle.from_source(src)
         box_sq = bmoa_seminorm(pair).value ** 2
         a_vals = [0.0, 0.5, 0.8, 0.95, -0.7j]
         garsia_sup = float(np.max(garsia_quantity(pair, a_values=a_vals)))
@@ -231,7 +285,8 @@ def test_logbloch_check_smoke():
 def test_pommerenke_transfer_on_univalent_member():
     # f with f' = -(1-z)^{1/2}, i.e. f = (2/3)(1-z)^{3/2}, under omega_{e^4}
     f = "0.66666666666666663*(1 - z)^1.5"
-    rep = pommerenke_check(_pair(f), Weight.log_K(math.e ** 4))
+    rep = pommerenke_check(FunctionHandle.from_source(f),
+                           Weight.log_K(math.e ** 4))
     assert rep.univalent
     assert rep.hypothesis.tag == "vanishes"
     assert rep.contract_applies
@@ -241,24 +296,28 @@ def test_pommerenke_transfer_on_univalent_member():
 
 def test_pommerenke_requires_contractive_weight():
     with pytest.raises(ValueError):
-        pommerenke_check(_pair("z"), Weight.log())   # C_omega = 2 >= 1
+        # C_omega = 2 >= 1
+        pommerenke_check(FunctionHandle.from_source("z"), Weight.log())
 
 
 def test_corollary_transfer_verdict_level():
     # univalent corpus members: log-Bloch vanishing implies log-BMOA vanishing
     f = "0.66666666666666663*(1 - z)^1.5"
     w = Weight.log_K(math.e ** 4)
-    if bloch_vanishing(_pair(f), w).tag == "vanishes":
-        assert bmoa_vanishing(_pair(f), w).tag == "vanishes"
+    if bloch_vanishing(FunctionHandle.from_source(f), w).tag == "vanishes":
+        assert bmoa_vanishing(FunctionHandle.from_source(f), w).tag == \
+            "vanishes"
 
 
 def test_lemma31_integral_finite_for_identity():
-    total, tag = lemma31_integral(_pair(F_Z), Weight.unit())
+    total, tag = lemma31_integral(FunctionHandle.from_source(F_Z),
+                                  Weight.unit())
     assert tag == "finite"
     assert 0.0 < total <= 4.0
 
 
 def test_lemma31_integral_zero_for_constants():
-    total, tag = lemma31_integral(_pair("1"), Weight.unit())
+    total, tag = lemma31_integral(FunctionHandle.from_source("1"),
+                                  Weight.unit())
     assert tag == "finite"
     assert total == pytest.approx(0.0, abs=1e-12)

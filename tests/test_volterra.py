@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import expr, volterra
+from holoflow.expr import FunctionHandle
 from holoflow.semigroup import Generator
 from holoflow.spaces import Weight
 from holoflow.volterra import (STANDARD_FAMILY, boundedness_probe,
@@ -13,25 +13,18 @@ from holoflow.volterra import (STANDARD_FAMILY, boundedness_probe,
                                dense_core_test, volterra_apply)
 
 
-def _pair(src):
-    tree = expr.parse(src)
-    dtree = expr.differentiate(tree)
-    return (lambda z: expr.evaluate_array(tree, z),
-            lambda z: expr.evaluate_array(dtree, z))
-
-
 # ---------------------------------------------------------------------------
 # T_g basics
 # ---------------------------------------------------------------------------
 
 def test_volterra_vanishes_at_origin_exactly():
-    image = volterra_apply("log(e/(1 - z))", _pair("z^2"))
+    image = volterra_apply("log(e/(1 - z))", FunctionHandle.from_source("z^2"))
     assert image.val(0.0) == 0.0
 
 
 def test_volterra_derivative_is_f_times_g_prime():
     # d/dz T_g f = f g' against a central difference at 1e-8 tolerance
-    image = volterra_apply("log(e/(1 - z))", _pair("z^2"))
+    image = volterra_apply("log(e/(1 - z))", FunctionHandle.from_source("z^2"))
     h = 1e-5
     for z in (0.3 + 0.2j, -0.5j, 0.1):
         fd = (image.val(z + h) - image.val(z - h)) / (2 * h)
@@ -41,7 +34,7 @@ def test_volterra_derivative_is_f_times_g_prime():
 
 def test_volterra_closed_form_oracle():
     # T_g f for f = 1, g = z^2/2 gives z^2/2
-    image = volterra_apply("0.5*z^2", _pair("1"))
+    image = volterra_apply("0.5*z^2", FunctionHandle.from_source("1"))
     z = 0.4 - 0.3j
     assert complex(image.val(z)) == pytest.approx(0.5 * z ** 2, abs=1e-12)
 
@@ -57,7 +50,7 @@ def test_standard_family_has_six_members():
 
 def test_compose_apply_matches_flow():
     gen = Generator.from_source("-z")
-    ct = compose_apply(gen, 0.7, _pair("z^2"))
+    ct = compose_apply(gen, 0.7, FunctionHandle.from_source("z^2"))
     z = 0.3 + 0.1j
     w = math.exp(-0.7) * z
     assert complex(np.atleast_1d(ct.val(z))[0]) == pytest.approx(w ** 2,
@@ -69,7 +62,7 @@ def test_compose_apply_matches_flow():
 
 def test_operator_semigroup_law_pointwise():
     gen = Generator.from_source("-z*(1 + z)/(1 - z)")
-    f = _pair("log(e/(1 - z))")
+    f = FunctionHandle.from_source("log(e/(1 - z))")
     s, t = 0.4, 0.8
     cs = compose_apply(gen, s, f)
     cst = compose_apply(gen, s + t, f)
@@ -83,7 +76,8 @@ def test_operator_semigroup_law_pointwise():
 
 def test_compose_rejects_negative_time():
     with pytest.raises(ValueError):
-        compose_apply(Generator.from_source("-z"), -1.0, _pair("z"))
+        compose_apply(Generator.from_source("-z"), -1.0,
+                      FunctionHandle.from_source("z"))
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +86,16 @@ def test_compose_rejects_negative_time():
 
 def test_continuity_probe_decays_for_vmoa_member():
     gen = Generator.from_source("i*z")
-    probe = continuity_probe(gen, _pair("z"), (0.1, 0.01, 0.001))
+    probe = continuity_probe(gen, FunctionHandle.from_source("z"),
+                             (0.1, 0.01, 0.001))
     assert probe.trend == "decays"
     assert probe.values[0] / probe.values[-1] >= 8.0
 
 
 def test_continuity_probe_floor_for_bmoa_only_member():
     gen = Generator.from_source("i*z")
-    probe = continuity_probe(gen, _pair("log(e/(1 - z))"), (0.1, 0.01, 0.001))
+    probe = continuity_probe(gen, FunctionHandle.from_source("log(e/(1 - z))"),
+                             (0.1, 0.01, 0.001))
     assert probe.trend == "floor"
     assert probe.floor >= 0.05
 
@@ -108,20 +104,21 @@ def test_vmoa_members_decay_under_every_corpus_semigroup():
     # verdict-level inclusion X_0 subset of the maximal subspace
     for gsrc in ("i*z", "-z"):
         gen = Generator.from_source(gsrc)
-        probe = continuity_probe(gen, _pair("z"), (0.1, 0.01, 0.001))
+        probe = continuity_probe(gen, FunctionHandle.from_source("z"),
+                                 (0.1, 0.01, 0.001))
         assert probe.trend == "decays"
 
 
 def test_continuity_probe_requires_decreasing_times():
     gen = Generator.from_source("-z")
     with pytest.raises(ValueError):
-        continuity_probe(gen, _pair("z"), (0.01, 0.1))
+        continuity_probe(gen, FunctionHandle.from_source("z"), (0.01, 0.1))
 
 
 def test_dense_core_membership():
     gen = Generator.from_source("-z")
     for src in ("z", "z^2", "(0.5 - z)/(1 - 0.5*z)"):
-        assert dense_core_test(gen, _pair(src)).in_core
+        assert dense_core_test(gen, FunctionHandle.from_source(src)).in_core
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from dataclasses import asdict
 import mpmath as mp
 import numpy as np
 
-from . import __version__, construct, expr, semigroup, spaces, volterra
+from . import __version__, construct, expr, quad, semigroup, spaces, volterra
 from .expr import ParseDiagnostic, EvalDomainError
-from .quad import LimitVerdict, QuadConfig, QuadFailure
+from .quad import LimitVerdict, QuadFailure
 from .semigroup import AdmissibilityError, ClassificationError, FlowBlowupError
 from .spaces import Weight
 
@@ -73,7 +73,7 @@ def render(obj):
 
 
 def _emit(args, report, series=()):
-    config = dict(asdict(QuadConfig()), depth_J=getattr(args, "J", 8),
+    config = dict(asdict(quad.CONFIG), depth_J=getattr(args, "J", 8),
                   precision_bits=construct.default_bits(),
                   output_format="json")
     doc = {"version": SCHEMA_VERSION, "artifact": __version__,
@@ -149,11 +149,7 @@ def cmd_gamma(args):
 
 def cmd_norm(args):
     f = expr.FunctionHandle.from_source(args.function)
-    w = _weight(args)
-    if args.space == "bloch":
-        rep = spaces.bloch_seminorm(f, w, resolution=args.J + 4)
-    else:
-        rep = spaces.bmoa_seminorm(f, w, J=args.J)
+    rep = spaces.seminorm(f, args.space, _weight(args), J=args.J)
     series = [("refinement", r, v) for r, v in rep.history]
     series += [("scale_sup", j, v) for j, v in rep.scale_series]
     return _emit(args, {"space": rep.space, "weight": rep.weight,

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import spaces
 from .expr import FunctionHandle
-from .hypgeo import DiscPoint
-from .quad import QuadConfig
+from .hypgeo import Arc, DiscPoint, GeodesicBox, box_contains
 
 __all__ = [
     "BlockParams",
@@ -219,7 +218,7 @@ class BlockReport:
 BLOCK_BOUNDS = {"bloch": 2.0, "bmoa": 2.0, "c4_floor": 0.4, "c0": C0}
 
 
-def verify_block(w, bits=None, n_sample=1000) -> BlockReport:
+def verify_block(w, bits=None) -> BlockReport:
     """Certify the five block properties; any violation raises."""
     bits = bits or default_bits()
     params, handle = make_block(w, bits)
@@ -227,9 +226,8 @@ def verify_block(w, bits=None, n_sample=1000) -> BlockReport:
         theta, gap, gap_star = params.theta, params.gap, params.gap_star
 
         # global sample: float grid plus extended-precision boundary points
-        n_r, n_t = max(10, n_sample // 40), 40
-        rr = np.linspace(0.01, 0.999999, n_r)
-        tt = np.arange(n_t) * (2.0 * math.pi / n_t)
+        rr = np.linspace(0.01, 0.999999, 25)
+        tt = np.arange(40) * (2.0 * math.pi / 40)
         zf = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
         vals = handle.val(zf)
         samples = [(mp.mpf(t), mp.mpf(1.0) - mp.mpf(r))
@@ -266,7 +264,6 @@ def verify_block(w, bits=None, n_sample=1000) -> BlockReport:
             if s > gsmax or hw is None or dphi > hw:
                 outside.append(abs(_beta_mp(theta, gap, gap_star, t, s)))
         # float grid points outside the w* box
-        from .hypgeo import Arc, GeodesicBox, box_contains
         wsbox = GeodesicBox(Arc(float(theta), float(params.arc_wstar)))
         mask = np.array([not box_contains(wsbox, z) for z in zf])
         c0_meas = max(float(np.max(np.abs(vals[mask]))),
@@ -347,13 +344,15 @@ def _mp_ring(density, center, half, gap, weight, xv, wv):
     return weight * ring * (1 - gap) / mp.pi
 
 
-def mp_disc_integral(density, K=40, n_gap=4, n_v=10):
-    """int density dm for densities peaked at angle 0 (sinh-clustered)."""
-    xg, wg = _gl(n_gap)
-    xv, wv = _gl(n_v)
+def mp_disc_integral(density):
+    """int density dm for densities peaked at angle 0 (sinh-clustered):
+    41 dyadic gap panels, the last one reaching the boundary, with 4 gap
+    and 10 angular nodes each."""
+    xg, wg = _gl(4)
+    xv, wv = _gl(10)
     total = mp.mpf(0)
-    for k in range(K + 1):
-        lo = mp.mpf(2) ** (-k - 1) if k < K else mp.mpf(0)
+    for k in range(41):
+        lo = mp.mpf(2) ** (-k - 1) if k < 40 else mp.mpf(0)
         hi = mp.mpf(2) ** (-k)
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         for x, w in zip(xg, wg):
@@ -362,20 +361,21 @@ def mp_disc_integral(density, K=40, n_gap=4, n_v=10):
     return total
 
 
-def mp_box_average(density, theta_c, length, K=22, n_gap=4, n_v=8):
+def mp_box_average(density, theta_c, length):
     """(1/|I|) int_{S(I)} density dm over the geodesic box of the arc.
 
-    Radial: dyadic gap panels with a u^2 substitution on the outermost panel
-    (the section width has a sqrt kink at the closest point).  Angular:
-    phi = gap sinh(v), which resolves densities peaked at the arc center at
-    any scale >= the ring gap.  Requires normalized length < 0.4.
+    Radial: a u^2 substitution on the outermost panel (the section width has
+    a sqrt kink at the closest point), then 22 dyadic gap panels, 4 nodes
+    each.  Angular: 8 nodes in phi = gap sinh(v), which resolves densities
+    peaked at the arc center at any scale >= the ring gap.  Requires
+    normalized length < 0.4.
     """
     theta_c, length = mp.mpf(theta_c), mp.mpf(length)
     if length >= mp.mpf("0.4"):
         raise ValueError("mp_box_average expects arcs of length < 0.4")
     gmax = _box_gap_max(length)
-    xg, wg = _gl(n_gap)
-    xv, wv = _gl(n_v)
+    xg, wg = _gl(4)
+    xv, wv = _gl(8)
     # (gap, radial weight) nodes; outermost panel [gmax/2, gmax] with
     # gap = gmax - u^2, then dyadic panels toward the boundary
     umax = mp.sqrt(gmax / 2)
@@ -383,7 +383,7 @@ def mp_box_average(density, theta_c, length, K=22, n_gap=4, n_v=8):
     for x, w in zip(xg, wg):
         u = umax / 2 + (umax / 2) * x
         nodes.append((gmax - u * u, (umax / 2) * w * 2 * u))
-    for k in range(1, K + 1):
+    for k in range(1, 23):
         lo, hi = gmax / 2 ** (k + 1), gmax / 2 ** k
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         nodes += [(mid + half * x, half * w) for x, w in zip(xg, wg)]
@@ -498,7 +498,7 @@ class ConstructionState:
 # the BMOA construction
 # ---------------------------------------------------------------------------
 
-def _bmoa_scale_sq(symbol, cfg):
+def _bmoa_scale_sq(symbol):
     """1 / int |g'|^2 (1-|z|^2) dm, so the scaled symbol is normalized.
 
     The corpus symbol has an integrable boundary peak at z = 1, so the
@@ -509,17 +509,17 @@ def _bmoa_scale_sq(symbol, cfg):
     return float(1 / val)
 
 
-def _largest_admissible_length(dens_sq, start_length, bound, max_squarings=24):
+def _largest_admissible_length(dens_sq, start_length, bound):
     """Largest tested dyadic-by-squaring length with suffix sup <= bound.
 
     Scans lengths l, l^2, l^4, ... (plus one initial halving pass) until the
-    averages stay below bound/2 twice in a row; certifies on the sampled arc
-    set only.
+    averages stay below bound/2 twice in a row, at most 24 lengths;
+    certifies on the sampled arc set only.
     """
     lengths, values = [], []
     ell = mp.mpf(start_length)
     small_streak = 0
-    for _ in range(max_squarings):
+    for _ in range(24):
         v = mp_box_average(dens_sq, 0, ell)
         lengths.append(ell)
         values.append(v)
@@ -563,8 +563,8 @@ def _squaring_search(value_at, gap, target):
     return gap, None, None
 
 
-def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
-               tol_c=DEFAULT_TOL_C, cfg=QuadConfig()) -> ConstructionState:
+def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
+               bits=None) -> ConstructionState:
     """Recursive witness construction: F with T_g F in BMOA minus VMOA.
 
     Per step n: (a) delta_n = largest sampled arc length with box averages of
@@ -577,9 +577,9 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
     bits = bits or default_bits()
-    scale_sq = _bmoa_scale_sq(symbol, cfg)
+    scale_sq = _bmoa_scale_sq(symbol)
     state = ConstructionState("bmoa", symbol.name, bits, math.sqrt(scale_sq),
-                              tol_c)
+                              DEFAULT_TOL_C)
     with mp.workprec(bits):
         s2 = mp.mpf(scale_sq)
 
@@ -642,7 +642,7 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
             # certify property (2) with the full F_n
             dens_Fn = lambda t, g: state.re_F(t, g) ** 2 * base(t, g)
             cert2 = mp_box_average(dens_Fn, 0, best_len)
-            if cert2 < 1 - tol_c:
+            if cert2 < 1 - DEFAULT_TOL_C:
                 raise AssertionError(
                     "property (2) certification failed at step %d: %s"
                     % (n, mp.nstr(cert2, 10)))
@@ -655,11 +655,11 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                 "M": float(min(M, mp.mpf(10) ** 300)),
             })
             delta_prev = delta
-    _certify_norm_control(state, symbol, cfg)
+    _certify_norm_control(state, symbol)
     return state
 
 
-def _certify_norm_control(state, symbol, cfg):
+def _certify_norm_control(state, symbol):
     """Property (3): seminorm of the partial Volterra images stays controlled.
 
     Checks ||T_g F_n|| <= max(||T_g F_{n-1}|| + 2^-n C(g), C(g)) with 10%
@@ -675,10 +675,7 @@ def _certify_norm_control(state, symbol, cfg):
         Fv, _ = partial.float_F_pair()
         der = lambda z, Fv=Fv: Fv(z) * scale * gp(z)
         pair = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)), der)
-        if state.mode == "bmoa":
-            norms.append(spaces.bmoa_seminorm(pair, cfg=cfg).value)
-        else:
-            norms.append(spaces.bloch_seminorm(pair, cfg=cfg).value)
+        norms.append(spaces.seminorm(pair, state.mode).value)
     C_g = max(norms) * 1.01
     ok = all(norms[k] <= max(norms[k - 1] + 2.0 ** (-k) * C_g, C_g) * 1.10
              for k in range(1, len(norms)))
@@ -692,8 +689,8 @@ def _certify_norm_control(state, symbol, cfg):
 # the Bloch construction
 # ---------------------------------------------------------------------------
 
-def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
-                tol_c=DEFAULT_TOL_C, cfg=QuadConfig()) -> ConstructionState:
+def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
+                bits=None) -> ConstructionState:
     """Bloch variant: pointwise quantities instead of box averages."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
@@ -702,7 +699,8 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
     if dg0 == 0:
         raise ValueError("symbol must satisfy g'(0) != 0")
     scale = 1.0 / dg0
-    state = ConstructionState("bloch", symbol.name, bits, scale, tol_c)
+    state = ConstructionState("bloch", symbol.name, bits, scale,
+                              DEFAULT_TOL_C)
     with mp.workprec(bits):
         s1 = mp.mpf(scale)
 
@@ -762,7 +760,7 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                                 "z_n_gap": zn_gap})
             state.n = n
             cert2 = state.re_F(mp.mpf(0), zn_gap) * base_abs(mp.mpf(0), zn_gap)
-            if cert2 < 1 - tol_c:
+            if cert2 < 1 - DEFAULT_TOL_C:
                 raise AssertionError(
                     "Bloch property (2) failed at step %d: %s"
                     % (n, mp.nstr(cert2, 10)))
@@ -771,5 +769,5 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4, bits=None,
                 "property2_value": float(cert2),
                 "M": float(min(M, mp.mpf(10) ** 300)),
             })
-    _certify_norm_control(state, symbol, cfg)
+    _certify_norm_control(state, symbol)
     return state

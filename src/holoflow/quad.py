@@ -19,6 +19,7 @@ from .hypgeo import GeodesicBox
 
 __all__ = [
     "QuadConfig",
+    "CONFIG",
     "QuadFailure",
     "LimitVerdict",
     "SupEstimate",
@@ -33,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and deterministic grid schedule shared by the estimators."""
+    """Tolerances and deterministic grid schedule of the estimators.
+
+    The package runs with one instance, CONFIG; every estimator reads it at
+    call time and the CLI report echoes it, so the two cannot disagree.
+    """
 
     atol: float = 1e-10
     rtol: float = 1e-9
@@ -46,9 +51,8 @@ class QuadConfig:
     j_lo: int = 4              # dyadic radius schedule r_j = 1 - 2^-j
     j_hi: int = 40
 
-    def __post_init__(self):
-        if self.atol <= 0 or self.rtol <= 0 or self.eps_min <= 0:
-            raise ValueError("tolerances and eps_min must be positive")
+
+CONFIG = QuadConfig()
 
 
 class QuadFailure(Exception):
@@ -110,13 +114,13 @@ def _radial_nodes(eps_min, n):
 # disc integrals
 # ---------------------------------------------------------------------------
 
-def _disc_value(density, cfg, depth):
-    n_r = cfg.n_radial + 2 * depth
-    n_t = cfg.n_angular * (2 ** depth)
+def _disc_value(density, depth):
+    n_r = CONFIG.n_radial + 2 * depth
+    n_t = CONFIG.n_angular * (2 ** depth)
     thetas = np.arange(n_t) * (2.0 * math.pi / n_t)
     eit = np.exp(1j * thetas)
     total = 0.0
-    for a, b in _radial_panels(cfg.eps_min):
+    for a, b in _radial_panels(CONFIG.eps_min):
         r, wr = _gl_nodes(a, b, n_r)
         z = r[:, None] * eit[None, :]
         vals = np.asarray(density(z), dtype=float)
@@ -127,26 +131,26 @@ def _disc_value(density, cfg, depth):
     return total
 
 
-def disc_integral(density, cfg=QuadConfig()):
+def disc_integral(density):
     """Integral of density over the disc w.r.t. dm; returns (value, error).
 
     A reference implementation: the tests check closed-form oracles and
     the box quadrature against it.  No CLI command runs it.
     """
-    prev = _disc_value(density, cfg, 0)
-    for depth in range(1, cfg.max_depth + 1):
-        cur = _disc_value(density, cfg, depth)
+    prev = _disc_value(density, 0)
+    for depth in range(1, CONFIG.max_depth + 1):
+        cur = _disc_value(density, depth)
         err = abs(cur - prev)
-        if err <= cfg.atol + cfg.rtol * abs(cur):
+        if err <= CONFIG.atol + CONFIG.rtol * abs(cur):
             return cur, err
         prev = cur
     raise QuadFailure("disc integral did not converge within depth budget")
 
 
-def _box_value(box, density, cfg, depth):
+def _box_value(box, density, depth):
     arc = box.arc
-    n_r = cfg.n_radial + 2 * depth
-    n_phi = max(8, cfg.n_angular // 4) * (2 ** depth)
+    n_r = CONFIG.n_radial + 2 * depth
+    n_phi = max(8, CONFIG.n_angular // 4) * (2 ** depth)
     r_min = box.closest_radius
     gap0 = 1.0 - r_min
     xg, wg = leggauss(n_phi)
@@ -172,13 +176,13 @@ def _box_value(box, density, cfg, depth):
         u, wu = _gl_nodes(lo, hi, 2 * n_r)
         total += add_section(r_min + u * u, 2.0 * u * wu)
     # dyadic annuli toward the boundary
-    for a, b in _radial_panels(cfg.eps_min, gap0 / 2.0):
+    for a, b in _radial_panels(CONFIG.eps_min, gap0 / 2.0):
         r, wr = _gl_nodes(a, b, n_r)
         total += add_section(r, wr)
     return total
 
 
-def box_integral(box, density, cfg=QuadConfig()):
+def box_integral(box, density):
     """Integral of density over S(I) (clipped at the eps_min annulus).
 
     A reference implementation: the tests check the extended-precision box
@@ -188,14 +192,14 @@ def box_integral(box, density, cfg=QuadConfig()):
         raise TypeError("box must be a GeodesicBox")
     l = box.arc.length
     if l == 1.0:
-        return disc_integral(density, cfg)[0]
+        return disc_integral(density)[0]
     if l >= 0.5:
-        whole = disc_integral(density, cfg)[0]
-        return whole - box_integral(box.opposite(), density, cfg)
-    prev = _box_value(box, density, cfg, 0)
-    for depth in range(1, cfg.max_depth + 1):
-        cur = _box_value(box, density, cfg, depth)
-        if abs(cur - prev) <= cfg.atol + cfg.rtol * abs(cur):
+        whole = disc_integral(density)[0]
+        return whole - box_integral(box.opposite(), density)
+    prev = _box_value(box, density, 0)
+    for depth in range(1, CONFIG.max_depth + 1):
+        cur = _box_value(box, density, depth)
+        if abs(cur - prev) <= CONFIG.atol + CONFIG.rtol * abs(cur):
             return cur
         prev = cur
     raise QuadFailure("box integral did not converge within depth budget")
@@ -223,7 +227,7 @@ def _disc_grid_points(resolution, eps_min):
     return [r * eit if r > 0 else np.array([0.0 + 0.0j]) for r in radii]
 
 
-def grid_sup(sampler, region, resolution, cfg=QuadConfig()):
+def grid_sup(sampler, region, resolution):
     """Maximum of sampler over a deterministic grid on the region.
 
     region is ("disc",) or ("circle", r).  Refining the resolution never
@@ -235,7 +239,7 @@ def grid_sup(sampler, region, resolution, cfg=QuadConfig()):
         thetas = np.arange(n_t) * (2.0 * math.pi / n_t)
         rings = [region[1] * np.exp(1j * thetas)]
     elif kind == "disc":
-        rings = _disc_grid_points(resolution, cfg.eps_min)
+        rings = _disc_grid_points(resolution, CONFIG.eps_min)
     else:
         raise ValueError("unknown region %r" % (region,))
 
@@ -253,7 +257,7 @@ def grid_sup(sampler, region, resolution, cfg=QuadConfig()):
 # limit classification
 # ---------------------------------------------------------------------------
 
-def classify_sequence(samples, cfg=QuadConfig(), slope_rule=False):
+def classify_sequence(samples, slope_rule=False):
     """Assign a LimitVerdict tag to a monotone-parameter sample sequence.
 
     The literal decision rules: the tail must fall below tol_vanish for
@@ -263,12 +267,12 @@ def classify_sequence(samples, cfg=QuadConfig(), slope_rule=False):
     index is steeper than -0.4 also counts as vanishing; this admits the slow
     1/log-type decay produced by Carleson-box averages.
     """
+    tol_v, tol_u = CONFIG.tol_vanish, CONFIG.tol_unbounded
+    thresholds = {"tol_vanish": tol_v, "tol_unbounded": tol_u}
     samples = [(p, v) for p, v in samples if math.isfinite(v)]
     flags = []
     if len(samples) < 4:
-        return LimitVerdict("inconclusive", samples,
-                            {"tol_vanish": cfg.tol_vanish,
-                             "tol_unbounded": cfg.tol_unbounded},
+        return LimitVerdict("inconclusive", samples, thresholds,
                             ["too few finite samples"])
     vals = np.array([v for _, v in samples], dtype=float)
     tail = vals[-min(8, len(vals)):]
@@ -277,13 +281,11 @@ def classify_sequence(samples, cfg=QuadConfig(), slope_rule=False):
     decreasing = np.mean(diffs <= 1e-15 + 1e-9 * np.abs(tail[:-1])) >= 0.75
     increasing = np.mean(diffs >= 0.0) >= 0.75
 
-    thresholds = {"tol_vanish": cfg.tol_vanish, "tol_unbounded": cfg.tol_unbounded}
-    if cfg.tol_vanish / 10 < last < cfg.tol_vanish * 10 or \
-            cfg.tol_unbounded / 10 < last < cfg.tol_unbounded * 10:
+    if tol_v / 10 < last < tol_v * 10 or tol_u / 10 < last < tol_u * 10:
         flags.append("near_threshold")
 
     tag = "inconclusive"
-    if last < cfg.tol_vanish and decreasing:
+    if last < tol_v and decreasing:
         tag = "vanishes"
     elif slope_rule and decreasing and len(vals) >= 6:
         # power-law fit of value against sample index over the tail
@@ -296,32 +298,32 @@ def classify_sequence(samples, cfg=QuadConfig(), slope_rule=False):
                 tag = "vanishes"
                 flags.append("slope_rule slope=%.3f" % slope)
     if tag == "inconclusive":
-        if last > cfg.tol_unbounded and increasing:
+        if last > tol_u and increasing:
             tag = "unbounded"
-        elif cfg.tol_vanish <= last <= cfg.tol_unbounded:
+        elif tol_v <= last <= tol_u:
             tag = "bounded_nonvanishing"
-        elif last < cfg.tol_vanish:
+        elif last < tol_v:
             # dipped below tolerance without a clean decreasing tail
-            tag = "vanishes" if np.max(tail) < cfg.tol_vanish * 10 else "inconclusive"
+            tag = "vanishes" if np.max(tail) < tol_v * 10 else "inconclusive"
     return LimitVerdict(tag, samples, thresholds, flags)
 
 
-def radial_schedule(cfg=QuadConfig()):
+def radial_schedule():
     """Radii r_j = 1 - 2^-j, j = j_lo..j_hi, capped at the eps_min annulus."""
     out = []
-    for j in range(cfg.j_lo, cfg.j_hi + 1):
+    for j in range(CONFIG.j_lo, CONFIG.j_hi + 1):
         gap = 2.0 ** (-j)
-        if gap < cfg.eps_min:
+        if gap < CONFIG.eps_min:
             break
         out.append((j, 1.0 - gap))
     return out
 
 
-def radial_limit(sampler, cfg=QuadConfig(), slope_rule=False):
+def radial_limit(sampler, slope_rule=False):
     """Classify the limit of sampler(r) as r -> 1 along the dyadic schedule."""
     samples = []
     skipped = []
-    for j, r in radial_schedule(cfg):
+    for j, r in radial_schedule():
         try:
             v = float(sampler(r))
         except (ArithmeticError, _expr.EvalDomainError):
@@ -331,7 +333,7 @@ def radial_limit(sampler, cfg=QuadConfig(), slope_rule=False):
             samples.append((r, v))
         else:
             skipped.append(r)
-    verdict = classify_sequence(samples, cfg, slope_rule=slope_rule)
+    verdict = classify_sequence(samples, slope_rule=slope_rule)
     if skipped:
         verdict.flags.append("skipped %d radii" % len(skipped))
     return verdict
@@ -341,7 +343,7 @@ def radial_limit(sampler, cfg=QuadConfig(), slope_rule=False):
 # line integrals
 # ---------------------------------------------------------------------------
 
-def line_integral(f, z0, z1, cfg=QuadConfig()):
+def line_integral(f, z0, z1):
     """Integral of f along the straight segment [z0, z1].
 
     f may be a HoloExpr or a vectorized callable.  Composite Gauss-Legendre
@@ -372,9 +374,9 @@ def line_integral(f, z0, z1, cfg=QuadConfig()):
 
     prev = level(1)
     n = 2
-    for _ in range(cfg.max_depth + 6):
+    for _ in range(CONFIG.max_depth + 6):
         cur = level(n)
-        if abs(cur - prev) <= cfg.atol + 1e-12 * abs(cur):
+        if abs(cur - prev) <= CONFIG.atol + 1e-12 * abs(cur):
             return cur
         prev = cur
         n *= 2

@@ -17,8 +17,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import expr as _expr
+from . import quad
 from .expr import Const, Var, div, mul, sub
-from .quad import QuadConfig, classify_sequence, line_integral, radial_schedule
+from .quad import classify_sequence, line_integral, radial_schedule
 
 __all__ = [
     "Generator",
@@ -54,9 +55,6 @@ class Classification:
     tau: complex
     lam: complex        # spectral value; complex for elliptic, real >= 0 else
 
-    def as_dict(self):
-        return {"kind": self.kind, "tau": self.tau, "lambda": self.lam}
-
 
 @dataclass
 class Generator:
@@ -82,28 +80,25 @@ class Generator:
     def __call__(self, z):
         return self.G(z)
 
-    def deriv(self, z):
-        return self.dG(z)
 
-
-def _sample_grid(n_r=20, n_t=20, r_max=0.95):
-    r = np.linspace(0.05, r_max, n_r)
-    t = np.arange(n_t) * (2.0 * math.pi / n_t)
+def _sample_grid():
+    """20 x 20 polar grid: radii 0.05..0.95, equispaced angles."""
+    r = np.linspace(0.05, 0.95, 20)
+    t = np.arange(20) * (2.0 * math.pi / 20)
     return (r[:, None] * np.exp(1j * t[None, :])).ravel()
 
 
-def berkson_porta(tau, p, tol=1e-9) -> Generator:
+def berkson_porta(tau, p) -> Generator:
     """Generator with G(z) = (z - tau)(conj(tau) z - 1) p(z)."""
     if isinstance(p, str):
         p = _expr.parse(p)
     tau = complex(tau)
     if abs(tau) > 1.0 + 1e-12:
         raise ValueError("tau must lie in the closed disc")
-    grid = _sample_grid()
-    pv = _expr.evaluate_array(p, grid)
-    if np.nanmin(pv.real) < -tol:
-        raise AdmissibilityError("Re p < %g on the sample grid (min %g)"
-                                 % (-tol, float(np.nanmin(pv.real))))
+    low = float(np.nanmin(_expr.evaluate_array(p, _sample_grid()).real))
+    if low < -1e-9:
+        raise AdmissibilityError("Re p < -1e-09 on the sample grid (min %g)"
+                                 % low)
     G = mul(mul(sub(Var(), Const(tau)),
                 sub(mul(Const(tau.conjugate()), Var()), Const(1.0))), p)
     return Generator(G, bp_tau=tau, bp_p=p)
@@ -113,11 +108,11 @@ def berkson_porta(tau, p, tol=1e-9) -> Generator:
 # classification
 # ---------------------------------------------------------------------------
 
-def _newton_zero(gen, seed, max_iter=60, tol=1e-14):
+def _newton_zero(gen, seed):
     """Damped Newton iteration for G(z) = 0 from one seed."""
     z = complex(seed)
     fz = abs(gen(z)) if _finite_at(gen, z) else math.inf
-    for _ in range(max_iter):
+    for _ in range(60):
         try:
             g = gen.G(z)
             dg = gen.dG(z)
@@ -139,7 +134,7 @@ def _newton_zero(gen, seed, max_iter=60, tol=1e-14):
             lam *= 0.5
         else:
             break
-        if fz < tol:
+        if fz < 1e-14:
             return z
     return z if fz < 1e-10 else None
 
@@ -152,14 +147,14 @@ def _finite_at(gen, z):
         return False
 
 
-def _boundary_lambda(gen, tau, cfg):
+def _boundary_lambda(gen, tau):
     """Spectral value at a boundary Denjoy-Wolff point from radial samples.
 
     Samples f(r) = Re(conj(tau) G(r tau)) / (1 - r) along the dyadic radius
     schedule and Richardson-extrapolates the last pair.
     """
     samples = []
-    for j, r in radial_schedule(cfg):
+    for j, r in radial_schedule():
         try:
             v = (tau.conjugate() * gen.G(r * tau)).real / (1.0 - r)
         except _expr.EvalDomainError:
@@ -169,7 +164,7 @@ def _boundary_lambda(gen, tau, cfg):
     if len(samples) < 4:
         raise ClassificationError("boundary spectral-value analysis failed")
     mags = [(r, abs(v)) for r, v in samples]
-    verdict = classify_sequence(mags, cfg)
+    verdict = classify_sequence(mags)
     if verdict.tag == "vanishes":
         return 0.0, verdict
     lam = 2.0 * samples[-1][1] - samples[-2][1]
@@ -178,7 +173,7 @@ def _boundary_lambda(gen, tau, cfg):
     return max(lam, 0.0), verdict
 
 
-def classify(gen: Generator, cfg=QuadConfig()) -> Classification:
+def classify(gen: Generator) -> Classification:
     """Find the Denjoy-Wolff point and spectral value of the semigroup."""
     if gen._classification is not None:
         return gen._classification
@@ -230,7 +225,7 @@ def classify(gen: Generator, cfg=QuadConfig()) -> Classification:
             continue
         seen.append(tau)
         try:
-            lam, verdict = _boundary_lambda(gen, tau, cfg)
+            lam, verdict = _boundary_lambda(gen, tau)
         except ClassificationError:
             continue
         kind = "parabolic" if lam == 0.0 else "hyperbolic"
@@ -272,7 +267,7 @@ def _flow_rhs(gen):
     return rhs
 
 
-def flow_points(gen, z0, t, cfg=QuadConfig(), rtol=1e-10, atol=1e-10):
+def flow_points(gen, z0, t):
     """Flow an array of initial points for time t; returns (phi_t, dphi_t/dz)."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     if t < 0:
@@ -281,22 +276,23 @@ def flow_points(gen, z0, t, cfg=QuadConfig(), rtol=1e-10, atol=1e-10):
         return z0.copy(), np.ones_like(z0)
     n = z0.size
     y0 = np.concatenate([z0, np.ones_like(z0)])
-    guard = 1.0 - cfg.eps_min
+    guard = 1.0 - quad.CONFIG.eps_min
 
     def escape(_, y):
         return guard - float(np.max(np.abs(y[:n])))
     escape.terminal = True
 
     sol = solve_ivp(_flow_rhs(gen), (0.0, float(t)), y0, method="RK45",
-                    rtol=rtol, atol=atol, events=escape)
+                    rtol=1e-10, atol=1e-10, events=escape)
     if not sol.success or (sol.t_events[0].size and sol.t[-1] < t):
         raise FlowBlowupError("trajectory reached the guard annulus before t=%g" % t)
     y = sol.y[:, -1]
     return y[:n], y[n:], sol
 
 
-def flow(gen, z0, t, cfg=QuadConfig(), n_samples=17) -> Trajectory:
-    """Integrate the Cauchy problem from z0 up to time t with samples."""
+def flow(gen, z0, t) -> Trajectory:
+    """Integrate the Cauchy problem from z0 up to time t, 17 samples."""
+    n_samples = 17
     z0 = complex(z0)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -304,7 +300,7 @@ def flow(gen, z0, t, cfg=QuadConfig(), n_samples=17) -> Trajectory:
     if t == 0:
         pts = np.full(n_samples, z0, dtype=complex)
         return Trajectory(times, pts, np.ones(n_samples, dtype=complex), 0, 0.0)
-    guard = 1.0 - cfg.eps_min
+    guard = 1.0 - quad.CONFIG.eps_min
 
     def escape(_, y):
         return guard - abs(y[0])
@@ -320,8 +316,8 @@ def flow(gen, z0, t, cfg=QuadConfig(), n_samples=17) -> Trajectory:
     if np.max(np.abs(pts)) >= 1.0:
         raise FlowBlowupError("trajectory left the disc")
     # semigroup-property residual: |phi_{t/2}(phi_{t/2}(z0)) - phi_t(z0)|
-    half, _, _ = flow_points(gen, z0, t / 2, cfg)
-    again, _, _ = flow_points(gen, half[0], t / 2, cfg)
+    half, _, _ = flow_points(gen, z0, t / 2)
+    again, _, _ = flow_points(gen, half[0], t / 2)
     residual = abs(again[0] - pts[-1])
     return Trajectory(times, pts, derivs, sol.t.size, float(residual))
 
@@ -330,14 +326,14 @@ def flow(gen, z0, t, cfg=QuadConfig(), n_samples=17) -> Trajectory:
 # Koenigs function and gamma-symbol
 # ---------------------------------------------------------------------------
 
-def koenigs(gen, cfg=QuadConfig()):
+def koenigs(gen):
     """Return handles (h, h') for the conformal conjugation of the semigroup.
 
     Elliptic: h(tau) = 0, h'(tau) = 1, h(phi_t(z)) = exp(-lambda t) h(z),
     built as (z - tau) exp(int_tau^z [-lambda/G - 1/(s - tau)] ds); the
     integrand is holomorphic across tau.  Non-elliptic: h' = i/G, h(0) = 0.
     """
-    cls = classify(gen, cfg)
+    cls = classify(gen)
     if cls.kind == "elliptic":
         tau, lam = cls.tau, cls.lam
         core = sub(div(Const(-lam), gen.G), div(Const(1.0), sub(Var(), Const(tau))))
@@ -355,7 +351,7 @@ def koenigs(gen, cfg=QuadConfig()):
             z = complex(z)
             if z == tau:
                 return 0.0 + 0.0j
-            return (z - tau) * cmath.exp(line_integral(correction, tau, z, cfg))
+            return (z - tau) * cmath.exp(line_integral(correction, tau, z))
 
         def hp(z):
             z = complex(z)
@@ -371,21 +367,21 @@ def koenigs(gen, cfg=QuadConfig()):
 
     def h_ne(z):
         return line_integral(lambda w: 1j / _expr.evaluate_array(gen.G, w),
-                             0.0, complex(z), cfg)
+                             0.0, complex(z))
 
     return h_ne, hp_ne
 
 
-def gamma_symbol(gen, cfg=QuadConfig()):
+def gamma_symbol(gen):
     """Return handles (gamma, gamma') for the Volterra symbol of the semigroup.
 
     Elliptic: gamma'(z) = (z - tau)/G(z)  (equal to -1/p for Berkson-Porta
     input), with the removable value -1/lambda at tau.  Boundary case: gamma
     coincides with the Koenigs function.
     """
-    cls = classify(gen, cfg)
+    cls = classify(gen)
     if cls.kind != "elliptic":
-        return koenigs(gen, cfg)
+        return koenigs(gen)
     tau, lam = cls.tau, cls.lam
     tree = div(sub(Var(), Const(tau)), gen.G)
     at_tau = -1.0 / lam
@@ -403,6 +399,6 @@ def gamma_symbol(gen, cfg=QuadConfig()):
         return out
 
     def gamma(z):
-        return line_integral(gp, tau, complex(z), cfg)
+        return line_integral(gp, tau, complex(z))
 
     return gamma, gp

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as _expr
+from . import quad
 from .expr import FunctionHandle
 from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq, translate
-from .quad import (LimitVerdict, QuadConfig, _gl_nodes, _radial_nodes,
-                   classify_sequence, grid_sup, radial_limit, radial_schedule)
-from .semigroup import classify, gamma_symbol
+from .quad import (LimitVerdict, _gl_nodes, _radial_nodes, classify_sequence,
+                   grid_sup, radial_limit, radial_schedule)
+from .semigroup import _sample_grid, classify, gamma_symbol
 
 __all__ = [
     "Weight",
@@ -34,6 +35,7 @@ __all__ = [
     "bloch_vanishing",
     "bmoa_seminorm",
     "bmoa_vanishing",
+    "seminorm",
     "garsia_quantity",
     "lvb_check",
     "logbloch_check",
@@ -107,16 +109,15 @@ class Weight:
         return 2.0 * r
 
 
-def weight_regularity(w: Weight, n_check=400) -> float:
+def weight_regularity(w: Weight) -> float:
     """Declared regularity constant C_omega with a grid verification.
 
     For omega_K the closed form (1-|z|^2)|grad omega_K| = 2|z| <= 2 together
     with omega_K >= log K gives C_omega = 2/log K; the pointwise inequality
-    (1-|z|^2)|grad omega| <= C_omega omega is checked on an n_check grid.
+    (1-|z|^2)|grad omega| <= C_omega omega is checked on a 20 x 20 grid.
     """
     c = w.c_omega
-    n_r = max(4, n_check // 20)
-    r = np.linspace(0.01, 1.0 - 1e-9, n_r)
+    r = np.linspace(0.01, 1.0 - 1e-9, 20)
     t = np.arange(20) * (2.0 * math.pi / 20)
     z = (r[:, None] * np.exp(1j * t[None, :])).ravel()
     lhs = w.grad_times_oms(z)
@@ -174,8 +175,7 @@ def _bloch_sampler(f, w):
     return sampler
 
 
-def bloch_seminorm(f, w=Weight.unit(), resolution=12,
-                   cfg=QuadConfig()) -> SeminormReport:
+def bloch_seminorm(f, w=Weight.unit(), resolution=12) -> SeminormReport:
     """Grid lower bound for sup |f'(z)| (1-|z|^2) omega(z)."""
     if resolution < 4:
         raise ValueError("resolution must be at least 4, got %r"
@@ -184,7 +184,7 @@ def bloch_seminorm(f, w=Weight.unit(), resolution=12,
     history = []
     best = None
     for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
-        est = grid_sup(sampler, ("disc",), res, cfg)
+        est = grid_sup(sampler, ("disc",), res)
         if best is None or est.value >= best.value:
             best = est
         history.append((res, best.value))
@@ -192,16 +192,16 @@ def bloch_seminorm(f, w=Weight.unit(), resolution=12,
                           resolution, history)
 
 
-def bloch_vanishing(f, w=Weight.unit(), n_angles=256,
-                    cfg=QuadConfig(), slope_rule=True) -> LimitVerdict:
-    """Limit of the angular sup of the Bloch integrand as r -> 1.
+def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
+    """Limit of the angular sup of the Bloch integrand as r -> 1, over 256
+    equispaced angles.
 
     The slope rule admits 1/log-type decay (e.g. (log(e/(1-z)))^{1/2}, which
     lies in the little Bloch space but decays too slowly for the literal
     threshold); the verdict records when the rule fired.
     """
     sampler = _bloch_sampler(f, w)
-    thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
+    thetas = np.arange(256) * (2.0 * math.pi / 256)
     eit = np.exp(1j * thetas)
 
     def angular_sup(r):
@@ -211,7 +211,7 @@ def bloch_vanishing(f, w=Weight.unit(), n_angles=256,
             raise ArithmeticError("no finite samples on the circle")
         return float(np.max(vals))
 
-    return radial_limit(angular_sup, cfg, slope_rule=slope_rule)
+    return radial_limit(angular_sup, slope_rule=True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,7 @@ def bloch_vanishing(f, w=Weight.unit(), n_angles=256,
 
 N_GL = 4          # Gauss-Legendre nodes per dyadic annulus
 TAIL_DEPTH = 8    # annuli of the master grid beyond the finest arc octave
+VANISHING_J = 12  # finest arc octave 2^-J of bmoa_vanishing
 
 
 def _master_grid(J):
@@ -293,7 +294,7 @@ def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
     return out
 
 
-def bmoa_seminorm(f, w=Weight.unit(), J=8, cfg=QuadConfig(),
+def bmoa_seminorm(f, w=Weight.unit(), J=8,
                   fracs=(1.0, 0.75)) -> SeminormReport:
     """Sqrt of the sup over the dyadic arc family of weighted box averages.
 
@@ -328,29 +329,38 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8, cfg=QuadConfig(),
                           J, history, scale_series=series, trend=trend)
 
 
-def bmoa_vanishing(f, w=Weight.unit(), J=12, j_lo=2,
-                   cfg=QuadConfig()) -> LimitVerdict:
-    """Limit of sup-over-centers box averages as the arc length 2^-j -> 0."""
-    fam = _box_average_family(f, w, J)
+def bmoa_vanishing(f, w=Weight.unit()) -> LimitVerdict:
+    """Limit of sup-over-centers box averages as the arc length 2^-j -> 0,
+    sampled at j = 2..VANISHING_J."""
     octave_sup = {}
-    for j, _, _, avgs in fam:
+    for j, _, _, avgs in _box_average_family(f, w, VANISHING_J):
         octave_sup[j] = max(octave_sup.get(j, 0.0), float(np.max(avgs)))
-    samples = [(j, octave_sup[j]) for j in range(j_lo, J + 1)]
-    return classify_sequence(samples, cfg, slope_rule=True)
+    samples = [(j, octave_sup[j]) for j in range(2, VANISHING_J + 1)]
+    return classify_sequence(samples, slope_rule=True)
+
+
+def seminorm(f, space, w=Weight.unit(), J=8) -> SeminormReport:
+    """The space's seminorm at depth J: bmoa_seminorm at J, or
+    bloch_seminorm at resolution J + 4."""
+    if space == "bmoa":
+        return bmoa_seminorm(f, w, J=J)
+    if space == "bloch":
+        return bloch_seminorm(f, w, resolution=J + 4)
+    raise ValueError("space must be 'bmoa' or 'bloch', got %r" % (space,))
 
 
 # ---------------------------------------------------------------------------
 # Mobius-pullback Garsia integrals
 # ---------------------------------------------------------------------------
 
-def _adaptive_angles(hot_angles, n_base=64, k_max=41):
-    """Base uniform angles plus geometric clusters around each hot angle.
+def _adaptive_angles(hot_angles):
+    """64 uniform angles plus geometric clusters around each hot angle.
 
-    Offsets shrink to ~pi 2^-41 ~ 1.4e-12 so the trapezoid mesh resolves
+    Offsets shrink to ~pi 2^-40 ~ 2.9e-12 so the trapezoid mesh resolves
     kernel or density spikes of any width the double grid can reach.
     """
-    offs = math.pi * 2.0 ** (-np.arange(2.0, k_max))
-    parts = [np.arange(n_base) * (2.0 * math.pi / n_base)]
+    offs = math.pi * 2.0 ** (-np.arange(2.0, 41))
+    parts = [np.arange(64) * (2.0 * math.pi / 64)]
     for th in hot_angles:
         parts.append(np.concatenate(([th], th + offs, th - offs)))
     t = np.unique(np.concatenate(parts) % (2.0 * math.pi))
@@ -367,13 +377,13 @@ class GarsiaIntegrator:
     only resolved if arg(a) was passed as a hot angle.
     """
 
-    def __init__(self, sq_density, hot_angles=(), cfg=QuadConfig(), n_gl=N_GL):
+    def __init__(self, sq_density, hot_angles=()):
         t = _adaptive_angles(sorted(set(float(h) % (2.0 * math.pi)
                                         for h in hot_angles)))
         # periodic trapezoid weights on the nonuniform angular mesh
         gaps = np.diff(np.concatenate((t, [t[0] + 2.0 * math.pi])))
         wt = 0.5 * (gaps + np.roll(gaps, 1))
-        r, wr = _radial_nodes(cfg.eps_min, n_gl)
+        r, wr = _radial_nodes(quad.CONFIG.eps_min, N_GL)
         oms = (1.0 - r) * (1.0 + r)
         z = r[:, None] * np.exp(1j * t[None, :])
         g = np.asarray(sq_density(z), dtype=float)
@@ -392,42 +402,40 @@ class GarsiaIntegrator:
         return out
 
 
-def _density_hot_angles(sq_density, n_scan=4096, r_probe=1.0 - 1e-6,
-                        ratio=1e4):
+def _density_hot_angles(sq_density):
     """Angles where the density blows up near the boundary (local maxima
-    exceeding ratio x median on a fine circle scan)."""
-    t = np.arange(n_scan) * (2.0 * math.pi / n_scan)
-    v = np.asarray(sq_density(r_probe * np.exp(1j * t)), dtype=float)
+    exceeding 1e4 x median on a 4096-angle scan of |z| = 1 - 1e-6)."""
+    t = np.arange(4096) * (2.0 * math.pi / 4096)
+    v = np.asarray(sq_density((1.0 - 1e-6) * np.exp(1j * t)), dtype=float)
     v = np.where(np.isfinite(v), v, np.inf)
     med = float(np.median(v[np.isfinite(v)])) if np.any(np.isfinite(v)) else 1.0
-    big = v > max(ratio * med, 1e-300)
+    big = v > max(1e4 * med, 1e-300)
     peaks = big & (v >= np.roll(v, 1)) & (v >= np.roll(v, -1))
     return [float(t[k]) for k in np.nonzero(peaks)[0]][:8]
 
 
-def _garsia_sweep(fp, factor, n_angles, cfg):
+def _garsia_sweep(fp, factor, n_angles):
     """Classify factor(1 - r^2) max_{|a| = r} int |f'|^2 (1 - |phi_a|^2) dm
     along the dyadic radial schedule, a on n_angles equispaced angles."""
     thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
     eit = np.exp(1j * thetas)
     sq = lambda z: np.abs(fp(z)) ** 2
-    integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq), cfg)
+    integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq))
     samples = []
-    for _, r in radial_schedule(cfg):
+    for _, r in radial_schedule():
         v = factor((1.0 - r) * (1.0 + r)) * float(np.max(integ(r * eit)))
         if math.isfinite(v):
             samples.append((r, v))
-    return classify_sequence(samples, cfg)
+    return classify_sequence(samples)
 
 
-def garsia_quantity(f, w=Weight.unit(), a_values=(0.0,),
-                    cfg=QuadConfig()):
+def garsia_quantity(f, w=Weight.unit(), a_values=(0.0,)):
     """omega(a)^2 int |f'|^2 (1 - |phi_a|^2) dm for each a."""
     _, fp = FunctionHandle.of(f)
     a = np.atleast_1d(np.asarray(a_values, dtype=complex))
     sq = lambda z: np.abs(fp(z)) ** 2
     hot = [float(np.angle(ai)) for ai in a if ai != 0]
-    integ = GarsiaIntegrator(sq, _density_hot_angles(sq) + hot, cfg)
+    integ = GarsiaIntegrator(sq, _density_hot_angles(sq) + hot)
     return w.omega(a) ** 2 * integ(a)
 
 
@@ -435,8 +443,8 @@ def garsia_quantity(f, w=Weight.unit(), a_values=(0.0,),
 # LVB / LVMO condition checkers
 # ---------------------------------------------------------------------------
 
-def _lvb_verdict(gen, cfg, n_angles=64):
-    thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
+def _lvb_verdict(gen):
+    thetas = np.arange(64) * (2.0 * math.pi / 64)
     eit = np.exp(1j * thetas)
     skipped = [0]
 
@@ -452,59 +460,58 @@ def _lvb_verdict(gen, cfg, n_angles=64):
             raise ArithmeticError("generator vanished on the whole circle")
         return float(np.max(vals[ok]))
 
-    verdict = radial_limit(angular_sup, cfg)
+    verdict = radial_limit(angular_sup)
     if skipped[0]:
         verdict.flags.append("skipped %d samples at zeros of G" % skipped[0])
     return verdict
 
 
-def lvb_check(gen, cfg=QuadConfig()) -> ConditionReport:
+def lvb_check(gen) -> ConditionReport:
     """lim_{|z|->1} (1-|z|^2)/|G(z)| log(1/(1-|z|^2)) = 0 along angular sups."""
-    v = _lvb_verdict(gen, cfg)
+    v = _lvb_verdict(gen)
     return ConditionReport("LVB", v, v.tag == "vanishes")
 
 
-def logbloch_check(gen, cfg=QuadConfig()) -> ConditionReport:
+def logbloch_check(gen) -> ConditionReport:
     """limsup-finite variant of the same quantity."""
-    v = _lvb_verdict(gen, cfg)
+    v = _lvb_verdict(gen)
     return ConditionReport("LOGBLOCH", v,
                            v.tag in ("vanishes", "bounded_nonvanishing"))
 
 
-def _lvmo_verdict(gen, cfg, n_angles=16, printed_form=False):
-    cls = classify(gen, cfg)
+def _lvmo_verdict(gen, printed_form=False):
+    cls = classify(gen)
     if cls.kind == "elliptic" and not printed_form:
-        _, gp = gamma_symbol(gen, cfg)
+        _, gp = gamma_symbol(gen)
     else:
         gp = lambda z: 1j / _expr.evaluate_array(gen.G, z)
-    return _garsia_sweep(gp, lambda oms: (math.log(math.e / oms)) ** 2,
-                         n_angles, cfg)
+    return _garsia_sweep(gp, lambda oms: (math.log(math.e / oms)) ** 2, 16)
 
 
-def lvmo_check(gen, cfg=QuadConfig(), printed_form=False) -> ConditionReport:
+def lvmo_check(gen, printed_form=False) -> ConditionReport:
     """Lambda(a) = log(e/(1-|a|^2))^2 int |gamma'|^2 (1-|phi_a|^2) dm -> 0.
 
     Uses the gamma-symbol integrand (gamma' = (z-tau)/G elliptic, i/G
     boundary); printed_form=True forces the i/G integrand.
     """
-    v = _lvmo_verdict(gen, cfg, printed_form=printed_form)
+    v = _lvmo_verdict(gen, printed_form=printed_form)
     return ConditionReport("LVMO", v, v.tag == "vanishes",
                            gamma_form=not printed_form)
 
 
-def lbmo_check(gen, cfg=QuadConfig(), printed_form=False) -> ConditionReport:
-    v = _lvmo_verdict(gen, cfg, printed_form=printed_form)
+def lbmo_check(gen, printed_form=False) -> ConditionReport:
+    v = _lvmo_verdict(gen, printed_form=printed_form)
     return ConditionReport("LBMO", v,
                            v.tag in ("vanishes", "bounded_nonvanishing"),
                            gamma_form=not printed_form)
 
 
-def minimality(gen, cfg=QuadConfig()) -> MinimalityReport:
+def minimality(gen) -> MinimalityReport:
     """Maximal-subspace minimality verdict: elliptic and LVB (equiv. LVMO)."""
-    cls = classify(gen, cfg)
+    cls = classify(gen)
     elliptic = cls.kind == "elliptic"
-    lvb = lvb_check(gen, cfg)
-    lvmo = lvmo_check(gen, cfg)
+    lvb = lvb_check(gen)
+    lvmo = lvmo_check(gen)
     agree = lvb.satisfied == lvmo.satisfied
     return MinimalityReport(cls.kind, elliptic, lvb, lvmo,
                             elliptic and lvb.satisfied and agree, agree)
@@ -514,10 +521,8 @@ def minimality(gen, cfg=QuadConfig()) -> MinimalityReport:
 # weighted Pommerenke machinery
 # ---------------------------------------------------------------------------
 
-def _univalence_probe(fv, n=400):
-    r = np.linspace(0.05, 0.95, n // 20)
-    t = np.arange(20) * (2.0 * math.pi / 20)
-    z = (r[:, None] * np.exp(1j * t[None, :])).ravel()
+def _univalence_probe(fv):
+    z = _sample_grid()
     vals = fv(z)
     d = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(d, np.inf)
@@ -536,37 +541,37 @@ class PommerenkeReport:
     contract_holds: bool | None
 
 
-def pommerenke_check(f, w: Weight, cfg=QuadConfig(),
-                     n_angles=8) -> PommerenkeReport:
+def pommerenke_check(f, w: Weight) -> PommerenkeReport:
     """Univalent transfer: omega-Bloch vanishing forces omega-BMOA vanishing.
 
     Hypothesis quantity: sup_theta |f'| (1-|z|^2) omega at radius r.
     Conclusion quantity: sup_theta omega(a)^2 int |f'|^2 (1-|phi_a|^2) dm
-    along |a| = r.  If the hypothesis verdict is not "vanishes" the report
-    records that and makes no contract claim.
+    along |a| = r over 8 angles.  If the hypothesis verdict is not
+    "vanishes" the report records that and makes no contract claim.
     """
     fv, fp = FunctionHandle.of(f)
     if not _univalence_probe(fv):
         raise ValueError("collision probe failed: f is not univalent on grid")
     if weight_regularity(w) >= 1.0:
         raise ValueError("weight regularity constant must be < 1")
-    hyp = bloch_vanishing((fv, fp), w, cfg=cfg)
+    hyp = bloch_vanishing((fv, fp), w)
 
     def weight_sq(oms):
         om = float(w.from_oms(np.array([oms]))[0])
         return om * om
 
-    concl = _garsia_sweep(fp, weight_sq, n_angles, cfg)
+    concl = _garsia_sweep(fp, weight_sq, 8)
     applies = hyp.tag == "vanishes"
     holds = (concl.tag == "vanishes") if applies else None
     return PommerenkeReport(True, hyp, concl, applies, holds)
 
 
-def lemma31_integral(f, w: Weight, cfg=QuadConfig(), J=30):
+def lemma31_integral(f, w: Weight):
     """Estimate int_0^1 sup_{a, |z| <= r} (omega(a) |f_a(z)|)^2 dr.
 
     f_a = f(phi_a) - f(a); the inner sup runs over a coarse a-grid and 16
-    angles at |z| = r (|f_a| is subharmonic so the sup sits on the circle).
+    angles at |z| = r (|f_a| is subharmonic so the sup sits on the circle);
+    the radial tail is cut after 30 dyadic segments.
     Returns (estimate, "finite" | "growth") where "growth" flags an
     increasing dyadic tail.
     """
@@ -594,7 +599,7 @@ def lemma31_integral(f, w: Weight, cfg=QuadConfig(), J=30):
     total = float(np.sum([inner(r) * ww for r, ww in zip(r0, w0)]))
     contribs = []
     gap = 0.5
-    for _ in range(1, J + 1):
+    for _ in range(30):
         c = inner(1.0 - 0.75 * gap) * 0.5 * gap
         contribs.append(c)
         total += c

@@ -16,7 +16,7 @@ import numpy as np
 from . import expr as _expr
 from . import spaces
 from .expr import FunctionHandle
-from .quad import QuadConfig, line_integral
+from .quad import line_integral
 from .semigroup import flow_points
 from .spaces import Weight
 
@@ -44,7 +44,7 @@ STANDARD_FAMILY = (
 )
 
 
-def volterra_apply(g, f, cfg=QuadConfig()) -> FunctionHandle:
+def volterra_apply(g, f) -> FunctionHandle:
     """T_g f(z) = int_0^z f(s) g'(s) ds; T_g f(0) = 0 exactly."""
     fv, _ = FunctionHandle.of(f)
     _, gp = FunctionHandle.of(g)
@@ -56,12 +56,12 @@ def volterra_apply(g, f, cfg=QuadConfig()) -> FunctionHandle:
         z = complex(z)
         if z == 0:
             return 0.0 + 0.0j
-        return line_integral(lambda s: fv(s) * gp(s), 0.0, z, cfg)
+        return line_integral(lambda s: fv(s) * gp(s), 0.0, z)
 
     return FunctionHandle(val, der)
 
 
-def compose_apply(gen, t, f, cfg=QuadConfig()) -> FunctionHandle:
+def compose_apply(gen, t, f) -> FunctionHandle:
     """C_t f = f o phi_t as a vectorized (value, derivative) handle."""
     fv, fp = FunctionHandle.of(f)
     if t < 0:
@@ -70,7 +70,7 @@ def compose_apply(gen, t, f, cfg=QuadConfig()) -> FunctionHandle:
     def _flowed(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         shape = z.shape
-        w, j, _ = flow_points(gen, z.ravel(), t, cfg)
+        w, j, _ = flow_points(gen, z.ravel(), t)
         return w.reshape(shape), j.reshape(shape)
 
     def val(z):
@@ -93,24 +93,20 @@ class ContinuityProbe:
     floor: float
 
 
-def continuity_probe(gen, f, times, space="bmoa", w=Weight.unit(),
-                     cfg=QuadConfig(), J=8) -> ContinuityProbe:
-    """Seminorms of C_t f - f along decreasing times, with a trend tag."""
+def continuity_probe(gen, f, times, space="bmoa",
+                     w=Weight.unit()) -> ContinuityProbe:
+    """Seminorms (spaces.seminorm at its default depth) of C_t f - f along
+    decreasing times, with a trend tag."""
     times = list(times)
     if any(t <= 0 for t in times) or any(b >= a for a, b in zip(times, times[1:])):
         raise ValueError("times must be positive and strictly decreasing")
     fv, fp = FunctionHandle.of(f)
     values = []
     for t in times:
-        ct = compose_apply(gen, t, (fv, fp), cfg)
+        ct = compose_apply(gen, t, (fv, fp))
         diff = (lambda z, c=ct: c.val(z) - fv(z),
                 lambda z, c=ct: c.der(z) - fp(z))
-        if space == "bmoa":
-            values.append(spaces.bmoa_seminorm(diff, w, J=J, cfg=cfg).value)
-        elif space == "bloch":
-            values.append(spaces.bloch_seminorm(diff, w, cfg=cfg).value)
-        else:
-            raise ValueError("space must be 'bmoa' or 'bloch'")
+        values.append(spaces.seminorm(diff, space, w).value)
     floor = min(values)
     decaying = all(b < a for a, b in zip(values, values[1:]))
     if decaying and values[-1] < 0.25 * values[0]:
@@ -130,17 +126,13 @@ class CoreReport:
     in_core: bool
 
 
-def dense_core_test(gen, f, space="bloch", w=Weight.unit(),
-                    cfg=QuadConfig()) -> CoreReport:
+def dense_core_test(gen, f, space="bloch", w=Weight.unit()) -> CoreReport:
     """Derivative-level core membership: is the function with derivative
     G f' in the space (finite, stable seminorm)?"""
     _, fp = FunctionHandle.of(f)
     der = lambda z: _expr.evaluate_array(gen.G, z) * fp(z)
     handle = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)), der)
-    if space == "bmoa":
-        rep = spaces.bmoa_seminorm(handle, w, cfg=cfg)
-    else:
-        rep = spaces.bloch_seminorm(handle, w, cfg=cfg)
+    rep = spaces.seminorm(handle, space, w)
     vals = [v for _, v in rep.history]
     stable = len(vals) < 2 or vals[-1] <= 1.25 * vals[-2] + 1e-12
     finite = math.isfinite(rep.value) and rep.value < 1e6
@@ -159,15 +151,8 @@ class OperatorProbe:
     marker: str = "probe, not proof"
 
 
-def _space_norm(f, space, w, J, cfg):
-    if space == "bmoa":
-        return spaces.bmoa_seminorm(f, w, J=J, cfg=cfg).value
-    return spaces.bloch_seminorm(f, w, resolution=J + 4, cfg=cfg).value
-
-
 def boundedness_probe(g, space="bmoa", family=STANDARD_FAMILY,
-                      w=Weight.unit(), cfg=QuadConfig(),
-                      J_coarse=5, J_fine=9) -> OperatorProbe:
+                      w=Weight.unit(), J_coarse=5, J_fine=9) -> OperatorProbe:
     """Ratios ||T_g f|| / ||f|| over the test family at two resolutions.
 
     The denominator is the seminorm plus |f(0)| (the constant member has zero
@@ -184,11 +169,11 @@ def boundedness_probe(g, space="bmoa", family=STANDARD_FAMILY,
     for src in family:
         f = FunctionHandle.of(src)
         f0 = abs(complex(f.val(np.array([0.0 + 0.0j]))[0]))
-        image = volterra_apply(g, f, cfg)
+        image = volterra_apply(g, f)
         r = []
         for J in (J_coarse, J_fine):
-            num = _space_norm(image, space, w, J, cfg)
-            den = _space_norm(f, space, w, J, cfg) + f0
+            num = spaces.seminorm(image, space, w, J).value
+            den = spaces.seminorm(f, space, w, J).value + f0
             r.append(num / den if den > 0 else math.inf)
         members.append(src if isinstance(src, str) else _expr.to_source(src))
         mnorms.append(den)            # num and den as computed at J_fine

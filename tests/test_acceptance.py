@@ -17,13 +17,11 @@ from holoflow import cli, construct, expr, volterra
 from holoflow.expr import FunctionHandle
 from holoflow.hypgeo import (Arc, DiscPoint, MobiusMap, arc_of, box_of,
                              hyp_dist, midpoint_from_origin, phi)
-from holoflow.quad import QuadConfig, box_integral, disc_integral
+from holoflow.quad import box_integral, disc_integral
 from holoflow.semigroup import Generator, berkson_porta, classify, flow_points
 from holoflow.spaces import (Weight, bloch_seminorm, bmoa_seminorm,
                              bmoa_vanishing, minimality, pommerenke_check,
                              weight_regularity)
-
-CFG = QuadConfig()
 
 GENERATOR_CORPUS = ("i*z", "-z", "-z*(1 + z)/(1 - z)", "(1 - z)^2",
                     "z^2 - 1")
@@ -124,12 +122,12 @@ def test_criterion_04_hyperbolic_geometry_suite():
 
 
 def test_criterion_05_seminorm_oracles():
-    one, _ = disc_integral(lambda z: np.ones_like(z, dtype=float), CFG)
-    half, _ = disc_integral(lambda z: 1.0 - np.abs(z) ** 2, CFG)
+    one, _ = disc_integral(lambda z: np.ones_like(z, dtype=float))
+    half, _ = disc_integral(lambda z: 1.0 - np.abs(z) ** 2)
     assert abs(one - 1.0) <= 1e-9
     assert abs(half - 0.5) <= 1e-9
     full = box_integral(box_of(Arc(0.0, 1.0)),
-                        lambda z: 1.0 - np.abs(z) ** 2, CFG)
+                        lambda z: 1.0 - np.abs(z) ** 2)
     assert abs(full - 0.5) <= 1e-9
     rep = bloch_seminorm(FunctionHandle.from_source("log(e/(1 - z))"),
                          resolution=16)

@@ -1,11 +1,14 @@
 """CLI: subcommand dispatch, JSON schema, exit codes, determinism, CSV."""
 
+import importlib
+import inspect
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
-from holoflow import cli
+from holoflow import cli, quad
 
 
 def run(capsys, *argv):
@@ -58,6 +61,27 @@ def test_every_report_embeds_config_and_version(capsys):
         cfg = doc["config"]
         assert cfg["precision_bits"] == 256
         assert float(cfg["atol"]) > 0 and cfg["j_hi"] > cfg["j_lo"]
+        quad_keys = {k: v for k, v in cfg.items() if k not in
+                     ("depth_J", "precision_bits", "output_format")}
+        assert quad_keys == cli.render(asdict(quad.CONFIG))
+
+
+def test_no_function_takes_a_cfg_parameter():
+    # the numerical configuration is the constant quad.CONFIG, never passed
+    found = []
+    for name in ("cli", "construct", "expr", "hypgeo", "quad", "semigroup",
+                 "spaces", "volterra"):
+        mod = importlib.import_module("holoflow." + name)
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs = [f for f in vars(obj).values()
+                         if inspect.isfunction(f)]
+            found += ["%s.%s" % (name, f.__qualname__) for f in funcs
+                      if "cfg" in inspect.signature(f).parameters]
+    assert found == []
 
 
 def test_numbers_rendered_as_decimal_strings(capsys):

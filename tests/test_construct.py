@@ -12,7 +12,7 @@ from holoflow.construct import (BLOCK_BOUNDS, ConstructionFailure,
                                 LOG_HALF_SYMBOL, build_bloch, build_bmoa,
                                 make_block, mp_box_average, mp_disc_integral,
                                 verify_block)
-from holoflow.quad import QuadConfig, box_integral
+from holoflow.quad import box_integral
 from holoflow.hypgeo import Arc, box_of
 
 BLOCK_CORPUS = (0.5, 0.9, 0.99, 1.0 - 1e-6)
@@ -91,8 +91,7 @@ def test_mp_box_average_matches_float_quadrature(length):
     with mp.workprec(256):
         mp_avg = float(mp_box_average(lambda t, g: g * (2 - g), 0, length))
     box = box_of(Arc(0.0, length))
-    ref = box_integral(box, lambda z: 1 - np.abs(z) ** 2,
-                       QuadConfig()) / length
+    ref = box_integral(box, lambda z: 1 - np.abs(z) ** 2) / length
     assert mp_avg == pytest.approx(ref, rel=1e-5)
 
 

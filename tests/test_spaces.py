@@ -8,15 +8,12 @@ import pytest
 from holoflow import spaces
 from holoflow.expr import FunctionHandle
 from holoflow.hypgeo import Arc, GeodesicBox, one_minus_abs_sq, phi
-from holoflow.quad import QuadConfig
 from holoflow.semigroup import Generator
 from holoflow.spaces import (Weight, bloch_seminorm, bloch_vanishing,
                              bmoa_seminorm, bmoa_vanishing, garsia_quantity,
                              lbmo_check, lemma31_integral, lvb_check,
                              lvmo_check, logbloch_check, minimality,
-                             pommerenke_check, weight_regularity)
-
-CFG = QuadConfig()
+                             pommerenke_check, seminorm, weight_regularity)
 
 F_Z = "z"
 F_LOG = "log(e/(1 - z))"
@@ -88,6 +85,16 @@ def test_bloch_vanishing_verdicts():
 # ---------------------------------------------------------------------------
 # BMOA seminorms and verdicts
 # ---------------------------------------------------------------------------
+
+def test_seminorm_dispatch_shares_the_depth_rule():
+    f = FunctionHandle.from_source(F_LOG)
+    for j in (0, 8):
+        assert seminorm(f, "bloch", J=j) == bloch_seminorm(f,
+                                                           resolution=j + 4)
+    assert seminorm(f, "bmoa", J=3) == bmoa_seminorm(f, J=3)
+    with pytest.raises(ValueError):
+        seminorm(f, "bmo")
+
 
 def test_bmoa_seminorm_full_circle_oracle():
     # average of |f'|^2 (1-|z|^2) over the whole disc for f = z is 1/2

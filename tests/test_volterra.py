@@ -121,6 +121,15 @@ def test_dense_core_membership():
         assert dense_core_test(gen, FunctionHandle.from_source(src)).in_core
 
 
+def test_unknown_space_is_rejected():
+    # an unknown space name must not fall through to the Bloch seminorm
+    gen = Generator.from_source("-z")
+    with pytest.raises(ValueError):
+        boundedness_probe("z", space="bmo")
+    with pytest.raises(ValueError):
+        dense_core_test(gen, FunctionHandle.from_source("z"), space="bmo")
+
+
 # ---------------------------------------------------------------------------
 # boundedness probes
 # ---------------------------------------------------------------------------

@@ -356,6 +356,7 @@ def main(argv=None) -> int:
     argv = _fold_values(list(sys.argv[1:] if argv is None else argv))
     try:
         args = build_parser().parse_args(argv)
+        construct.default_bits()        # reject a bad precision before work
         if args.command == "flow":
             z0 = complex(args.z0.replace("i", "j"))
             args.z0_re, args.z0_im = z0.real, z0.imag

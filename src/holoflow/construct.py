@@ -11,15 +11,30 @@ S(I_w); this module (and everything downstream) uses the sigma form.
 Deep construction steps need gaps far below double precision, so points are
 (angle, gap) pairs with mpmath gaps and every near-boundary quantity is
 evaluated through cancellation-free rearrangements in terms of gaps.  The
-working precision comes from HOLOFLOW_PRECISION_BITS (default 256).
+working precision comes from HOLOFLOW_PRECISION_BITS (default 256, an
+integer in [53, 4096]).
+
+Float decides, mp certifies.  Those rearrangements are sums of positive
+terms, so their logs carry in float64 at any gap.  A vectorized log-domain
+engine (Re beta_w, the symbol densities, |F_{n-1}|^2, the box geometry and
+the mp_box_average node set) makes the decisions of the searches: the
+admissible length delta_n, the squaring search for w_n, the (d) argmax over
+arcs and the Bloch region suprema.  mpmath at the working precision then
+evaluates what the state records: the average at the chosen delta_n (if it
+exceeds the bound, mp redoes that scan), the accepted squaring candidate,
+the (d) argmax, the region_sup argmax and the property (2) certificates.  A
+float value within the relative MARGIN of a threshold or of a rival is
+decided in mp, so the states are those of the all-mp searches.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -47,8 +62,29 @@ C0 = 3.0                      # absolute bound for |beta_w| off S(I_{w*})
 DEFAULT_TOL_C = 0.05
 
 
+MIN_BITS, MAX_BITS = 53, 4096   # accepted working precisions
+
+
 def default_bits() -> int:
-    return int(os.environ.get("HOLOFLOW_PRECISION_BITS", "256"))
+    """HOLOFLOW_PRECISION_BITS (default 256), an integer in [53, 4096]."""
+    raw = os.environ.get("HOLOFLOW_PRECISION_BITS", "256")
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = raw
+    return _checked_bits(bits)
+
+
+def _checked_bits(bits):
+    """bits if it is an integer in [MIN_BITS, MAX_BITS]; None means
+    default_bits().  Anything else raises ValueError (exit 3)."""
+    if bits is None:
+        return default_bits()
+    if (not isinstance(bits, int) or isinstance(bits, bool)
+            or not MIN_BITS <= bits <= MAX_BITS):
+        raise ValueError("precision bits must be an integer in [%d, %d], "
+                         "got %r" % (MIN_BITS, MAX_BITS, bits))
+    return bits
 
 
 class ConstructionFailure(Exception):
@@ -190,7 +226,7 @@ def make_block(w, bits=None):
     then looks constant on the float-reachable part of the disc); use
     params + _beta_mp for extended-precision evaluation.
     """
-    bits = bits or default_bits()
+    bits = _checked_bits(bits)
     with mp.workprec(bits):
         theta, gap = _as_theta_gap(w)
         if not 0 < gap < 1:
@@ -220,7 +256,7 @@ BLOCK_BOUNDS = {"bloch": 2.0, "bmoa": 2.0, "c4_floor": 0.4, "c0": C0}
 
 def verify_block(w, bits=None) -> BlockReport:
     """Certify the five block properties; any violation raises."""
-    bits = bits or default_bits()
+    bits = _checked_bits(bits)
     params, handle = make_block(w, bits)
     with mp.workprec(bits):
         theta, gap, gap_star = params.theta, params.gap, params.gap_star
@@ -298,6 +334,10 @@ class ConstructionSymbol:
     def base_density(self, theta, gap):
         raise NotImplementedError
 
+    def log_density(self, p):
+        """Float log of base_density at the engine's _Points p."""
+        raise NotImplementedError
+
     def dg0_abs(self) -> float:
         _, fp = FunctionHandle.from_source(self.source)
         return abs(complex(fp(np.array([0.0 + 0.0j]))[0]))
@@ -309,10 +349,20 @@ class _LogHalfSymbol(ConstructionSymbol):
         L = 1 - mp.log(omz)
         return gap * (2 - gap) / (4 * abs(omz) ** 2 * abs(L))
 
+    def log_density(self, p):
+        lre = np.logaddexp(p.lg, p.l1mg + p.lsin2)       # Re(1 - z) > 0
+        lim = p.l1mg + p.lsin                            # |Im(1 - z)|
+        labs_sq = np.logaddexp(2 * lre, 2 * lim)         # |1 - z|^2
+        abs_L = np.hypot(1 - labs_sq / 2, _atan_exp(lim - lre))
+        return p.lg + p.l2mg - 2 * _LOG2 - labs_sq - np.log(abs_L)
+
 
 class _LinearSymbol(ConstructionSymbol):
     def base_density(self, theta, gap):
         return gap * (2 - gap)
+
+    def log_density(self, p):
+        return p.lg + p.l2mg
 
 
 LOG_HALF_SYMBOL = _LogHalfSymbol("log-half", "(log(e/(1 - z)))^0.5")
@@ -396,6 +446,157 @@ def mp_box_average(density, theta_c, length):
 
 
 # ---------------------------------------------------------------------------
+# the log-domain float64 engine: the searches decide, mp certifies
+# ---------------------------------------------------------------------------
+#
+# Logs of gaps, angles and terms, combined with logaddexp/log1p/expm1, keep
+# the relative accuracy of double precision at gaps far below its range.
+# The engine assumes what the constructions produce: blocks and box centres
+# at angle 0, where every density is even in the angle.
+
+MARGIN = 1e-6     # relative: closer float comparisons are decided in mp
+_LOG2, _LOGPI = math.log(2.0), math.log(math.pi)
+_TINY = -20.0     # below this log, sin x = asin x = x in double precision
+_GL4, _GL8 = np.polynomial.legendre.leggauss(4), \
+    np.polynomial.legendre.leggauss(8)
+
+
+def _log(x) -> float:
+    """Float log of a positive mpf of any exponent."""
+    return float(mp.log(x))
+
+
+def _log1m(lx):
+    """log(1 - e^lx) for lx < 0, elementwise."""
+    lx = np.asarray(lx, dtype=float)
+    return np.where(lx > -_LOG2, np.log(-np.expm1(lx)), np.log1p(-np.exp(lx)))
+
+
+def _atan_exp(lx):
+    """arctan(e^lx), elementwise, for any lx."""
+    return np.arctan(np.exp(np.minimum(lx, 700.0)))
+
+
+def _radial_y_nodes():
+    """mp_box_average's radial nodes as gap / gmax, with their weights
+    (also per gmax): the u^2 outer panel, then the 22 dyadic panels."""
+    x, w = _GL4
+    ys, ws = [1 - (1 + x) ** 2 / 8], [w * (1 + x) / 4]
+    for k in range(1, 23):
+        half = 2.0 ** (-k - 2)
+        ys.append(half * (3 + x))
+        ws.append(half * w)
+    return np.concatenate(ys), np.concatenate(ws)
+
+
+_Y, _WY = _radial_y_nodes()
+
+
+class _Points:
+    """Disc points (1 - e^lg) e^{i phi} with phi >= 0 given by its log lphi
+    (-inf at phi = 0), so angles and gaps below the double range survive.
+    Holds the logs every density below shares."""
+
+    def __init__(self, lphi, lg):
+        self.lphi, self.lg = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(lphi, dtype=float)),
+            np.atleast_1d(np.asarray(lg, dtype=float)))
+        tiny = self.lphi < _TINY
+        phi = np.exp(np.where(tiny, _TINY, self.lphi))
+        # log 2 sin^2(phi/2) and log |sin phi|
+        self.lsin2 = np.where(tiny, 2 * self.lphi - _LOG2,
+                              _LOG2 + 2 * np.log(np.abs(np.sin(phi / 2))))
+        self.lsin = np.where(tiny, self.lphi, np.log(np.abs(np.sin(phi))))
+        self.l1mg = _log1m(self.lg)                       # log(1 - gap)
+        self.l2mg = _LOG2 + np.log1p(-np.exp(self.lg) / 2)  # log(2 - gap)
+
+
+def _beta_float(lrho, lrho_s, p):
+    """(Re, Im) of beta_w at the points p, w = 1 - e^lrho at angle 0 and
+    lrho_s the log gap of w*: _beta_mp's positive terms summed in logs.  Im
+    is taken at the conjugate point where sin(phi) < 0."""
+    rho, rho_s = math.exp(lrho), math.exp(lrho_s)
+    lB = _LOG2 + math.log1p(-(rho + rho_s) / 2)
+    l1mrs = math.log1p(-rho_s)
+    lP = l1mrs + p.l1mg
+    lre_T = np.logaddexp(lrho + lrho_s,
+                         lB + np.logaddexp(p.l1mg + p.lsin2, p.lg))
+    lim_T = lB + p.l1mg + p.lsin
+    lre_D = np.logaddexp(np.logaddexp(lrho_s, p.lg + l1mrs), lP + p.lsin2)
+    lim_D = lP + p.lsin
+    re = 1 - (np.logaddexp(2 * lre_T, 2 * lim_T)
+              - np.logaddexp(2 * lre_D, 2 * lim_D)) / 2
+    im = _atan_exp(lim_T - lre_T) - _atan_exp(lim_D - lre_D)
+    return re, im
+
+
+def _box_nodes(lell):
+    """mp_box_average's node set for the arc of length l = e^lell centred
+    at 0, in the log domain: (points, log weights), so that the log of the
+    box average of a density is logsumexp(log weights + log density)."""
+    # h = pi l; gmax = 2 s/(c + s) with s, c = sin(h/2), cos(h/2)
+    ls = (math.log(math.pi / 2) + lell if lell < _TINY
+          else math.log(math.sin(math.pi * math.exp(lell) / 2)))
+    s, c = math.exp(ls), math.cos(math.pi * math.exp(lell) / 2)
+    lcs = math.log(c + s)
+    lgmax = _LOG2 + ls - lcs
+    lg = lgmax + np.log(_Y)
+    l1mg = _log1m(lg)
+    # _box_halfwidth: 1 - x = 2 s^2 u with u = 1 + q - y^2/((c+s)^2 (1-gap))
+    u = (1 + np.exp(2 * lg - _LOG2 - l1mg)
+         - np.exp(2 * np.log(_Y) - 2 * lcs - l1mg))
+    keep = u > 0
+    lg, l1mg, lwr = lg[keep], l1mg[keep], lgmax + np.log(_WY[keep])
+    lz = ls + np.log(u[keep]) / 2                   # log sin(half/2)
+    lhalf = np.where(lz >= 0, _LOGPI, np.where(
+        lz < _TINY, _LOG2 + lz,
+        np.log(2 * np.arcsin(np.exp(np.clip(lz, _TINY, 0))))))
+    # angular nodes phi = gap sinh(v), v in [0, V], V = asinh(half/gap)
+    x, w = _GL8
+    half_v = np.arcsinh(np.exp(lhalf - lg))[:, None] / 2
+    v = half_v * (1 + x)
+    lphi = lg[:, None] + np.log(np.sinh(v))
+    ljac = lg[:, None] + np.log(np.cosh(v) * half_v * w)
+    # both signs of phi (the density is even), (1 - gap)/pi, and 1/l
+    lw = (lwr + l1mg)[:, None] + ljac + _LOG2 - _LOGPI - lell
+    return (_Points(lphi.ravel(), np.repeat(lg, x.size)), lw.ravel())
+
+
+def _log_box_average(log_density, lell):
+    """Float log of mp_box_average(density, 0, e^lell)."""
+    pts, lw = _box_nodes(lell)
+    terms = lw + log_density(pts)
+    top = np.max(terms)
+    return float(top + np.log(np.sum(np.exp(terms - top))))
+
+
+class _Density(NamedTuple):
+    """A positive density or pointwise quantity in both arithmetics:
+    mp(theta, gap) -> mpf, and log(points) -> its float logs at _Points."""
+    mp: Callable
+    log: Callable
+
+
+def _decided(lv, exact, *marks):
+    """The value with float log lv as an mpf, for comparison with marks;
+    mp decides (exact() is returned) when lv is not finite or lies within
+    MARGIN of the log of a mark."""
+    if not math.isfinite(lv) or any(abs(lv - _log(m)) <= MARGIN
+                                    for m in marks):
+        return exact()
+    return mp.exp(lv)
+
+
+def _rivals(lvs):
+    """Indices of the float logs lvs that may hold the maximum: those
+    within MARGIN of the finite float maximum, and any that is not
+    finite.  mp compares these; the others are certainly smaller."""
+    lvs = np.asarray(lvs, dtype=float)
+    top = np.max(lvs[np.isfinite(lvs)], initial=-np.inf)
+    return np.flatnonzero(~(lvs < top - MARGIN))
+
+
+# ---------------------------------------------------------------------------
 # construction state
 # ---------------------------------------------------------------------------
 
@@ -432,6 +633,14 @@ class ConstructionState:
             re += a * b.real
             im += a * b.imag
         return re * re + im * im
+
+    def log_abs_F_sq(self, p):
+        """Float log of abs_F_sq at the engine's _Points p."""
+        re, im = 1.0, 0.0
+        for a, _, gw, gs in self.blocks():
+            b_re, b_im = _beta_float(_log(gw), _log(gs), p)
+            re, im = re + float(a) * b_re, im + float(a) * b_im
+        return np.log(re * re + im * im) + np.zeros(p.lg.shape)
 
     def float_F_pair(self):
         """F_n as float callables (deep blocks degrade to constants)."""
@@ -509,18 +718,18 @@ def _bmoa_scale_sq(symbol):
     return float(1 / val)
 
 
-def _largest_admissible_length(dens_sq, start_length, bound):
+def _admissible_scan(average, start_length, bound):
     """Largest tested dyadic-by-squaring length with suffix sup <= bound.
 
     Scans lengths l, l^2, l^4, ... (plus one initial halving pass) until the
-    averages stay below bound/2 twice in a row, at most 24 lengths;
-    certifies on the sampled arc set only.
+    averages average(l) stay below bound/2 twice in a row, at most 24
+    lengths; certifies on the sampled arc set only.
     """
     lengths, values = [], []
     ell = mp.mpf(start_length)
     small_streak = 0
     for _ in range(24):
-        v = mp_box_average(dens_sq, 0, ell)
+        v = average(ell)
         lengths.append(ell)
         values.append(v)
         if v <= bound / 2:
@@ -545,19 +754,45 @@ def _largest_admissible_length(dens_sq, start_length, bound):
     return best
 
 
-def _squaring_search(value_at, gap, target):
-    """Square the candidate gap until value_at(gap, gap*) >= target, gap*
-    the gap of the hyperbolic midpoint.
+def _largest_admissible_length(dens, start_length, bound):
+    """_admissible_scan over the box averages of the _Density dens.
 
-    Returns (gap, gap*, value) at the first success, or (gap, None, None)
-    once the values plateau hopelessly low or 60 squarings pass.
+    Float decides; mp decides the averages within MARGIN of bound or
+    bound/2 and certifies the average at the chosen length.  If mp puts
+    that average above bound, mp decides the whole scan.
     """
+    exact = functools.lru_cache(maxsize=None)(
+        lambda ell: mp_box_average(dens.mp, 0, ell))
+    best = _admissible_scan(
+        lambda ell: _decided(_log_box_average(dens.log, _log(ell)),
+                             lambda: exact(ell), bound, bound / 2),
+        start_length, bound)
+    if exact(best) <= bound:
+        return best
+    return _admissible_scan(exact, start_length, bound)
+
+
+def _squaring_search(value_at, gap, target):
+    """Square the candidate gap until its value reaches target.
+
+    value_at(gap, gap*), gap* the gap of the hyperbolic midpoint, gives
+    (float log of the value, mp thunk).  Float decides; mp decides values
+    within MARGIN of target or of the plateau floor, and re-evaluates each
+    accepted candidate, whose mp value then decides.  Returns (gap, gap*,
+    mp value) at the first success, or (gap, None, None) once the values
+    plateau hopelessly low or 60 squarings pass.
+    """
+    floor = target / mp.mpf(10 ** 9)
     for _ in range(60):
         gs = _midpoint_gap(gap)
-        v = value_at(gap, gs)
+        lv, exact = value_at(gap, gs)
+        exact = functools.cache(exact)
+        v = _decided(lv, exact, target, floor)
         if v >= target:
-            return gap, gs, v
-        if v < target / mp.mpf(10 ** 9) and gap < mp.mpf("1e-300"):
+            v = exact()
+            if v >= target:
+                return gap, gs, v
+        if v < floor and gap < mp.mpf("1e-300"):
             break      # plateaued hopelessly low
         gap = gap * gap
     return gap, None, None
@@ -576,33 +811,43 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
-    bits = bits or default_bits()
+    bits = _checked_bits(bits)
     scale_sq = _bmoa_scale_sq(symbol)
     state = ConstructionState("bmoa", symbol.name, bits, math.sqrt(scale_sq),
                               DEFAULT_TOL_C)
     with mp.workprec(bits):
-        s2 = mp.mpf(scale_sq)
+        s2, ls2 = mp.mpf(scale_sq), math.log(scale_sq)
 
         def base(theta, gap):
             return s2 * symbol.base_density(theta, gap)
 
+        def beta_density(gw, gsw):
+            lr, lrs = _log(gw), _log(gsw)
+            return _Density(
+                lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real ** 2
+                              * base(t, g)),
+                lambda p: (2 * np.log(_beta_float(lr, lrs, p)[0]) + ls2
+                           + symbol.log_density(p)))
+
+        def block_average(gw, gsw):
+            dens, ell = beta_density(gw, gsw), _arc_length_of(gw)
+            return (_log_box_average(dens.log, _log(ell)),
+                    lambda: mp_box_average(dens.mp, 0, ell))
+
         delta_prev = mp.mpf("0.125")
         for n in range(1, n_max + 1):
-            dens_F = lambda t, g: state.abs_F_sq(t, g) * base(t, g)
+            dens_F = _Density(
+                lambda t, g: state.abs_F_sq(t, g) * base(t, g),
+                lambda p: (state.log_abs_F_sq(p) + ls2
+                           + symbol.log_density(p)))
             delta = _largest_admissible_length(dens_F, delta_prev, mp.mpf(1))
             delta_p = min(delta, (delta / 2 ** (2 * n)) ** 2)
             if mp.sqrt(delta_p) > delta / 2 ** (2 * n):
                 raise AssertionError("delta'_n selection violated its bound")
 
             # (c) candidate search: gaps by squaring within (0, delta'_n]
-            def beta_density(gw, gsw):
-                return lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real
-                                     ** 2 * base(t, g))
-
-            gap_w, gs, avg_w = _squaring_search(
-                lambda gw, gsw: mp_box_average(beta_density(gw, gsw), 0,
-                                               _arc_length_of(gw)),
-                delta_p, mp.mpf(2) ** (2 * n))
+            gap_w, gs, avg_w = _squaring_search(block_average, delta_p,
+                                                mp.mpf(2) ** (2 * n))
             if avg_w is None:
                 raise ConstructionFailure(
                     "divergence evidence insufficient at this precision "
@@ -612,7 +857,8 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
             ell_w = _arc_length_of(gap_w)
             dens_beta = beta_density(gap_w, gs)
 
-            # (d) maximize over sampled arcs of length <= delta_n
+            # (d) maximize over sampled arcs of length <= delta_n: float
+            # ranks the arcs, mp compares the float argmax and its rivals
             cands = {ell_w}
             for j in range(1, 11):
                 if ell_w * 2 ** j <= delta:
@@ -620,13 +866,17 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
             llo, lhi = mp.log(ell_w), mp.log(delta)
             for i in range(1, 8):
                 cands.add(mp.exp(llo + (lhi - llo) * i / 8))
+            cands = [ell for ell in sorted(cands)
+                     if ell <= delta and ell != ell_w]
+            lvs = [_log_box_average(dens_beta.log, _log(ell))
+                   for ell in cands]
             best_avg, best_len = avg_w, ell_w
-            for ell in sorted(cands):
-                if ell > delta or ell == ell_w:
-                    continue
-                v = mp_box_average(dens_beta, 0, ell)
+            for i in _rivals(lvs + [_log(avg_w)]):
+                if i == len(cands):
+                    continue                  # ell_w, already in mp
+                v = mp_box_average(dens_beta.mp, 0, cands[i])
                 if v > best_avg:
-                    best_avg, best_len = v, ell
+                    best_avg, best_len = v, cands[i]
             M = mp.sqrt(best_avg)
             a = 1 / M
             if a > mp.mpf(2) ** (-n):
@@ -694,7 +944,7 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
     """Bloch variant: pointwise quantities instead of box averages."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
-    bits = bits or default_bits()
+    bits = _checked_bits(bits)
     dg0 = symbol.dg0_abs()
     if dg0 == 0:
         raise ValueError("symbol must satisfy g'(0) != 0")
@@ -702,31 +952,54 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
     state = ConstructionState("bloch", symbol.name, bits, scale,
                               DEFAULT_TOL_C)
     with mp.workprec(bits):
-        s1 = mp.mpf(scale)
+        s1, ls1 = mp.mpf(scale), math.log(scale)
 
         def base_abs(theta, gap):
             # |g'(z)| (1-|z|^2), scaled so g'(0) = 1
             return s1 * mp.sqrt(symbol.base_density(theta, gap)
                                 * gap * (2 - gap))
 
+        def log_base_abs(p):
+            return ls1 + (symbol.log_density(p) + p.lg + p.l2mg) / 2
+
+        # region_sup's angles 0 and 2 pi j/16, as mpf and as float logs
+        angles = [mp.mpf(0)] + [mp.mpf(2 * mp.pi) * j / 16
+                                for j in range(1, 16)]
+        log_angles = [-math.inf] + [math.log(math.pi * j / 8)
+                                    for j in range(1, 16)]
+
         def region_sup(quant, delta):
-            """Sampled sup of quant over 1-|z| <= delta (angle-0 ray plus a
-            coarse angular sweep at several gap levels)."""
-            best = mp.mpf(0)
-            for k in range(24):
-                g = delta / 2 ** k
-                for t in [mp.mpf(0)] + [mp.mpf(2 * mp.pi) * j / 16
-                                        for j in range(1, 16)]:
-                    best = max(best, quant(t, g))
-                for i in range(1, 5):
-                    best = max(best, quant(mp.mpf(0), delta ** (2 ** i)))
-            return best
+            """Sampled sup of the _Density quant over 1-|z| <= delta
+            (angle-0 ray plus a coarse angular sweep at several gap
+            levels).  Float ranks the points; the sup is mp's maximum over
+            the float argmax and its rivals."""
+            pts = [(t, delta / 2 ** k) for k in range(24) for t in angles]
+            pts += [(mp.mpf(0), delta ** (2 ** i)) for i in range(1, 5)]
+            ld = _log(delta)
+            lg = [ld - k * _LOG2 for k in range(24) for _ in angles]
+            lg += [2 ** i * ld for i in range(1, 5)]
+            lvs = quant.log(_Points(log_angles * 24 + [-math.inf] * 4, lg))
+            return max(quant.mp(*pts[i]) for i in _rivals(lvs))
+
+        def beta_quantity(gw, gsw):
+            lr, lrs = _log(gw), _log(gsw)
+            return _Density(
+                lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real
+                              * base_abs(t, g)),
+                lambda p: (np.log(_beta_float(lr, lrs, p)[0])
+                           + log_base_abs(p)))
+
+        def block_value(gw, gsw):
+            q = beta_quantity(gw, gsw)
+            return (float(q.log(_Points(-math.inf, _log(gw)))[0]),
+                    lambda: q.mp(mp.mpf(0), gw))
 
         delta = mp.mpf("0.125")
         for n in range(1, n_max + 1):
             # the pointwise quantity |F_{n-1} g'| (1-|z|^2)
-            quant_F = lambda t, g: (mp.sqrt(state.abs_F_sq(t, g))
-                                    * base_abs(t, g))
+            quant_F = _Density(
+                lambda t, g: mp.sqrt(state.abs_F_sq(t, g)) * base_abs(t, g),
+                lambda p: state.log_abs_F_sq(p) / 2 + log_base_abs(p))
             for _ in range(40):
                 if region_sup(quant_F, delta) <= 1:
                     break
@@ -735,13 +1008,8 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
                 raise ConstructionFailure("no admissible delta_n (Bloch)")
             delta_p = min(delta, (delta / 2 ** (2 * n)) ** 2)
 
-            def beta_quantity(gw, gsw):
-                return lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real
-                                     * base_abs(t, g))
-
-            gap_w, gs, v_w = _squaring_search(
-                lambda gw, gsw: beta_quantity(gw, gsw)(mp.mpf(0), gw),
-                delta_p, mp.mpf(2) ** n)
+            gap_w, gs, v_w = _squaring_search(block_value, delta_p,
+                                              mp.mpf(2) ** n)
             if v_w is None:
                 raise ConstructionFailure(
                     "divergence evidence insufficient at this precision "

@@ -177,9 +177,9 @@ def _bloch_sampler(f, w):
 
 def bloch_seminorm(f, w=Weight.unit(), resolution=12) -> SeminormReport:
     """Grid lower bound for sup |f'(z)| (1-|z|^2) omega(z)."""
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4, got %r"
-                         % (resolution,))
+    if not 4 <= resolution <= MAX_J + 4:
+        raise ValueError("resolution must be in [4, %d], got %r"
+                         % (MAX_J + 4, resolution))
     sampler = _bloch_sampler(f, w)
     history = []
     best = None
@@ -221,6 +221,7 @@ def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
 N_GL = 4          # Gauss-Legendre nodes per dyadic annulus
 TAIL_DEPTH = 8    # annuli of the master grid beyond the finest arc octave
 VANISHING_J = 12  # finest arc octave 2^-J of bmoa_vanishing
+MAX_J = 20        # deepest accepted J: the finest octave has 2^(J+2) arcs
 
 
 def _master_grid(J):
@@ -301,8 +302,8 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8,
     fracs sets the arc lengths per octave (fracs=(1.0,) with J=0 restricts
     to the full-circle arc, whose average is the plain disc integral).
     """
-    if J < 0:
-        raise ValueError("depth J must be nonnegative, got %r" % (J,))
+    if not 0 <= J <= MAX_J:
+        raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
     fam = _box_average_family(f, w, J, fracs=fracs)
     best_val, best_arc = -math.inf, None
     history = []

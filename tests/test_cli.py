@@ -130,6 +130,31 @@ def test_out_of_range_steps_and_depth_exit_3(capsys, argv):
     assert doc["error"]["type"] == "ValueError"
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started on an invalid request")
+
+
+@pytest.mark.parametrize("bits", ["0", "16", "-5", "4097"])
+def test_out_of_range_precision_bits_exit_3(capsys, monkeypatch, bits):
+    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", bits)
+    monkeypatch.setattr(cli.construct, "verify_block", _must_not_run)
+    code, doc = run_json(capsys, "block-verify", "--w", "0.9")
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("space", ["bmoa", "bloch"])
+def test_depth_above_cap_exits_3(capsys, monkeypatch, space):
+    monkeypatch.setattr(cli.spaces, "_box_average_family", _must_not_run)
+    monkeypatch.setattr(cli.spaces, "grid_sup", _must_not_run)
+    code, doc = run_json(capsys, "norm", "--function", "z", "--space", space,
+                         "--J", "21")
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_flow_reaching_the_guard_annulus_exits_4(capsys):
     code, doc = run_json(capsys, "flow", "--generator", "z", "--z0", "0.5",
                          "--t", "10")       # exactly one JSON document

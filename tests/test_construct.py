@@ -1,5 +1,6 @@
 """Building blocks and the recursive BMOA/Bloch witness constructions."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -132,6 +133,160 @@ def test_mp_box_average_resolves_peaked_density():
 
 
 # ---------------------------------------------------------------------------
+# the log-domain float engine against the mp oracle
+# ---------------------------------------------------------------------------
+
+ENGINE_GAP_EXPONENTS = (3, 24, 60, 1280, 20496)
+
+
+def _block_at(e):
+    gap = mp.mpf(2) ** -e
+    gs = construct._midpoint_gap(gap)
+    return gap, gs, construct._log(gap), construct._log(gs)
+
+
+def _engine_points(e, gap):
+    """(phi, gap) pairs at, inside, outside and far from the block scale,
+    on the ray, near it, and at wide angles (one with sin(phi) < 0)."""
+    for ez in sorted({max(1, e - 2), e, e + 7, 2, 10 * e}):
+        s = mp.mpf(2) ** -ez
+        for phi in (mp.mpf(0), gap / 3, 5 * gap, 3 * s, mp.mpf("0.01"),
+                    2 * mp.pi * 9 / 16):
+            yield phi, s
+
+
+def _at(phi, s):
+    return construct._Points(construct._log(phi) if phi else -math.inf,
+                             construct._log(s))
+
+
+@pytest.mark.parametrize("e", ENGINE_GAP_EXPONENTS)
+def test_float_engine_matches_mp_pointwise(e):
+    with mp.workprec(256):
+        gap, gs, lr, lrs = _block_at(e)
+        for phi, s in _engine_points(e, gap):
+            p = _at(phi, s)
+            re, im = construct._beta_float(lr, lrs, p)
+            ref = construct._beta_mp(mp.mpf(0), gap, gs, phi, s)
+            assert re[0] == pytest.approx(float(ref.real), rel=1e-9)
+            assert abs(im[0]) == pytest.approx(abs(float(ref.imag)),
+                                               rel=1e-9, abs=1e-12)
+            for sym in (LOG_HALF_SYMBOL, LINEAR_SYMBOL):
+                lref = construct._log(sym.base_density(phi, s))
+                assert math.exp(sym.log_density(p)[0] - lref) == \
+                    pytest.approx(1.0, rel=1e-9)
+
+
+def test_float_engine_abs_F_sq_matches_mp():
+    with mp.workprec(256):
+        state = ConstructionState("bmoa", "log-half", 256, 1.0, 0.05)
+        for a, e in ((0.4, 24), (0.2, 1280), (0.1, 20496)):
+            gap, gs, _, _ = _block_at(e)
+            state.steps.append({"a": mp.mpf(a), "theta": mp.mpf(0),
+                                "gap": gap, "gap_star": gs})
+        for e in (24, 1280, 20496):
+            for phi, s in _engine_points(e, mp.mpf(2) ** -e):
+                lv = state.log_abs_F_sq(_at(phi, s))[0]
+                ref = construct._log(state.abs_F_sq(phi, s))
+                assert math.exp(lv - ref) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("e", ENGINE_GAP_EXPONENTS)
+def test_float_engine_box_average_matches_mp(e):
+    # the construction's (c)/(d) density (Re beta)^2 |g'|^2 (1-|z|^2) over
+    # the box of I_w
+    with mp.workprec(256):
+        gap, gs, lr, lrs = _block_at(e)
+        ell = construct._arc_length_of(gap)
+
+        def dens(t, g):
+            return (construct._beta_mp(mp.mpf(0), gap, gs, t, g).real ** 2
+                    * LOG_HALF_SYMBOL.base_density(t, g))
+
+        def log_dens(p):
+            return (2 * np.log(construct._beta_float(lr, lrs, p)[0])
+                    + LOG_HALF_SYMBOL.log_density(p))
+
+        ref = construct._log(mp_box_average(dens, 0, ell))
+        lv = construct._log_box_average(log_dens, construct._log(ell))
+    assert math.exp(lv - ref) == pytest.approx(1.0, rel=1e-9)
+
+
+def _linear_density(c):
+    """c g (2 - g): box averages 0.1116 c, 0.0372 c, 0.0109 c at lengths
+    1/8, 1/16, 1/32."""
+    return construct._Density(lambda t, g: c * g * (2 - g), None)
+
+
+@pytest.mark.parametrize("lv", [0.0, math.log(0.5),
+                                math.log(0.5) - construct.MARGIN / 2])
+def test_float_value_at_a_threshold_is_decided_in_mp(monkeypatch, lv):
+    # with c = 8 the mp averages are 0.893, 0.297, 0.087: the mp scan tests
+    # three lengths and keeps 1/8.  The float engine is made to report every
+    # average exactly at the bound, exactly at bound/2, or a hair below
+    # bound/2; taken at face value the scan would never stop or would stop
+    # after two lengths, so the three mp averages show that mp decided
+    dens = _linear_density(8)
+    exact = []
+    real_box_average = construct.mp_box_average
+
+    def counted(density, theta_c, length):
+        exact.append(length)
+        return real_box_average(density, theta_c, length)
+
+    monkeypatch.setattr(construct, "_log_box_average", lambda *a: lv)
+    monkeypatch.setattr(construct, "mp_box_average", counted)
+    with mp.workprec(256):
+        best = construct._largest_admissible_length(dens, mp.mpf("0.125"),
+                                                    mp.mpf(1))
+    assert best == mp.mpf("0.125")
+    assert exact == [mp.mpf("0.125"), mp.mpf("0.0625"), mp.mpf("0.03125")]
+
+
+def test_mp_certificate_overrules_a_wrong_float_scan(monkeypatch):
+    # a float engine that reports every average as tiny picks 1/8, whose mp
+    # average 1.34 exceeds the bound: mp then decides the whole scan
+    monkeypatch.setattr(construct, "_log_box_average", lambda *a: -50.0)
+    with mp.workprec(256):
+        best = construct._largest_admissible_length(
+            _linear_density(12), mp.mpf("0.125"), mp.mpf(1))
+    assert best == mp.mpf("0.0625")
+
+
+def test_squaring_search_accepts_only_what_mp_accepts():
+    target = mp.mpf(4)
+    for lv, mp_value, accepted in ((math.log(4), 3, False),
+                                   (math.log(4) + 1, 3, False),
+                                   (math.log(4) - construct.MARGIN / 2, 5,
+                                    True)):
+        calls = []
+
+        def value_at(gap, gs):
+            return lv, lambda: calls.append(gap) or mp.mpf(mp_value)
+
+        with mp.workprec(256):
+            gap, gs, v = construct._squaring_search(value_at, mp.mpf("0.5"),
+                                                    target)
+        if accepted:
+            assert (gap, v, calls) == (mp.mpf("0.5"), 5, [mp.mpf("0.5")])
+        else:
+            assert gs is None and v is None and len(calls) == 60
+
+
+def test_rivals_and_decisions_follow_the_margin():
+    m = construct.MARGIN
+    assert list(construct._rivals([0.0, -1.0, -m / 2, math.nan, -2 * m])) \
+        == [0, 2, 3]
+    assert list(construct._rivals([-math.inf, -math.inf])) == [0, 1]
+    sentinel = mp.mpf(7)
+    with mp.workprec(256):
+        assert construct._decided(math.log(2), lambda: sentinel, 2) == 7
+        assert construct._decided(math.inf, lambda: sentinel, 2) == 7
+        far = construct._decided(math.log(2) + 2 * m, lambda: sentinel, 2)
+    assert float(far) == pytest.approx(2 * math.exp(2 * m), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
 
@@ -194,6 +349,34 @@ def test_gaps_collapse_doubly_exponentially(bmoa_states):
     # each step's gap exponent grows by more than an order of magnitude
     assert all(b <= 10 * a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < -10000          # far beyond double precision
+
+
+# sha256 of ConstructionState.to_json() at 256 bits, recorded from the
+# all-mp searches; the float-deciding searches must reproduce them
+GOLDEN_STATE_SHA256 = {
+    "bmoa_1": "1b7af49eb50e91e23c6d125362aaf49cfb43b2627eddf376c8a9053df7dac795",
+    "bloch_4": "91ce41a1e19575b93d2d3ce12ee59c451262e3df1ffd5ec56304f590632ef7e6",
+}
+
+
+def _sha(state):
+    return hashlib.sha256(state.to_json().encode()).hexdigest()
+
+
+def test_state_json_golden_hashes(bloch_states):
+    assert _sha(build_bmoa(n_max=1, bits=256)) == \
+        GOLDEN_STATE_SHA256["bmoa_1"]
+    assert _sha(bloch_states[256]) == GOLDEN_STATE_SHA256["bloch_4"]
+
+
+@pytest.mark.parametrize("bits", [0, 16, -5, 4097, 256.0, True])
+def test_explicit_bits_outside_the_range_are_rejected(bits):
+    for fn in (make_block, verify_block):
+        with pytest.raises(ValueError):
+            fn(0.9, bits=bits)
+    for build in (build_bmoa, build_bloch):
+        with pytest.raises(ValueError):
+            build(n_max=1, bits=bits)
 
 
 def test_negative_control_fails_at_step_one():

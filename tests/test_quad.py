@@ -157,18 +157,24 @@ def test_radial_panels_are_the_dyadic_annuli():
         [(1.0 - 2.0 ** -9, 1.0 - 1e-3)]
 
 
-def test_radial_limit_verdict_stability_under_doubled_range(monkeypatch):
-    # verdicts stable when the j-range is doubled, for three model samplers
+def test_radial_limit_verdict_stability_under_halved_depth(monkeypatch):
+    # verdicts stable when the j-range is halved, for three model samplers;
+    # the default schedule already ends at the eps_min annulus (j = 39), so
+    # halving is the change of depth that can be made
     samplers = {
         "vanishes": lambda r: (1.0 - r) ** 0.5,
         "bounded_nonvanishing": lambda r: 2.0 + (1.0 - r),
         "unbounded": lambda r: (1.0 - r) ** -0.75,
     }
-    deep = dataclasses.replace(CFG, j_hi=min(2 * CFG.j_hi, 39))
+    half = dataclasses.replace(CFG, j_hi=20)
+    with monkeypatch.context() as m:
+        m.setattr(quad, "CONFIG", half)
+        half_depth = len(radial_schedule())
+    assert (half_depth, len(radial_schedule())) == (17, 36)
     for tag, s in samplers.items():
         assert radial_limit(s).tag == tag
         with monkeypatch.context() as m:
-            m.setattr(quad, "CONFIG", deep)
+            m.setattr(quad, "CONFIG", half)
             assert radial_limit(s).tag == tag
 
 

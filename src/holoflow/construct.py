@@ -104,17 +104,6 @@ class BlockPropertyError(Exception):
 # gap-safe hyperbolic geometry in extended precision
 # ---------------------------------------------------------------------------
 
-def _as_theta_gap(w):
-    """Normalize w to an (angle, gap) pair of mpf values."""
-    if isinstance(w, tuple):
-        return mp.mpf(w[0]), mp.mpf(w[1])
-    if isinstance(w, DiscPoint):
-        return mp.mpf(w.theta), mp.mpf(w.gap)
-    w = complex(w)
-    p = DiscPoint.from_complex(w)
-    return mp.mpf(p.theta), mp.mpf(p.gap)
-
-
 def _midpoint_gap(gap):
     """Gap of the hyperbolic midpoint w* of [0, w]: exact identity
     1 - |w*||w| = sqrt(1-|w|^2), so gap* = (gap + sqrt(oms))/(1 + sqrt(oms))."""
@@ -168,7 +157,6 @@ class BlockParams:
     gap_star: object              # mpf 1 - |w*|
     arc_w: object                 # mpf normalized length of I_w
     arc_wstar: object             # mpf normalized length of I_{w*}
-    c0: float = C0
 
     @property
     def w_complex(self) -> complex:
@@ -220,7 +208,8 @@ def _float_block(wc, wsc):
 
 
 def make_block(w, bits=None):
-    """BlockParams plus a float-vectorized (value, derivative) handle.
+    """BlockParams plus a float-vectorized (value, derivative) handle for
+    the complex number w.
 
     The handle degrades gracefully for gaps below double precision (the block
     then looks constant on the float-reachable part of the disc); use
@@ -228,7 +217,8 @@ def make_block(w, bits=None):
     """
     bits = _checked_bits(bits)
     with mp.workprec(bits):
-        theta, gap = _as_theta_gap(w)
+        p = DiscPoint.from_complex(complex(w))
+        theta, gap = mp.mpf(p.theta), mp.mpf(p.gap)
         if not 0 < gap < 1:
             raise ValueError("w must satisfy 0 < |w| < 1")
         gap_star = _midpoint_gap(gap)
@@ -642,34 +632,6 @@ class ConstructionState:
             re, im = re + float(a) * b_re, im + float(a) * b_im
         return np.log(re * re + im * im) + np.zeros(p.lg.shape)
 
-    def float_F_pair(self):
-        """F_n as float callables (deep blocks degrade to constants)."""
-        pairs = []
-        for a, th, g, gs in self.blocks():
-            gf = float(g)
-            if gf <= 0.0:
-                gf = 0.0
-            wc = (1.0 - gf) * complex(mp.cos(th), mp.sin(th))
-            gsf = float(gs)
-            wsc = (1.0 - gsf) * complex(mp.cos(th), mp.sin(th))
-            pairs.append((float(a), *_float_block(wc, wsc)))
-
-        def F_val(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.ones_like(z)
-            for a, v, _ in pairs:
-                out = out + a * v(z)
-            return out
-
-        def F_der(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros_like(z)
-            for a, _, d in pairs:
-                out = out + a * d(z)
-            return out
-
-        return F_val, F_der
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
@@ -707,13 +669,14 @@ class ConstructionState:
 # the BMOA construction
 # ---------------------------------------------------------------------------
 
-def _bmoa_scale_sq(symbol):
+def _bmoa_scale_sq(symbol, bits):
     """1 / int |g'|^2 (1-|z|^2) dm, so the scaled symbol is normalized.
 
     The corpus symbol has an integrable boundary peak at z = 1, so the
-    normalization is computed with the peak-aware extended-precision scheme.
+    normalization is computed with the peak-aware extended-precision scheme
+    at the build's precision.
     """
-    with mp.workprec(default_bits()):
+    with mp.workprec(bits):
         val = mp_disc_integral(symbol.base_density)
     return float(1 / val)
 
@@ -812,7 +775,7 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
     bits = _checked_bits(bits)
-    scale_sq = _bmoa_scale_sq(symbol)
+    scale_sq = _bmoa_scale_sq(symbol, bits)
     state = ConstructionState("bmoa", symbol.name, bits, math.sqrt(scale_sq),
                               DEFAULT_TOL_C)
     with mp.workprec(bits):
@@ -917,14 +880,22 @@ def _certify_norm_control(state, symbol):
     """
     _, gp = FunctionHandle.from_source(symbol.source)
     scale = state.scale
+    # float blocks of F_n (deep blocks degrade to constants)
+    blocks = [(float(a), _float_block(
+        (1.0 - float(g)) * complex(mp.cos(th), mp.sin(th)),
+        (1.0 - float(gs)) * complex(mp.cos(th), mp.sin(th))).val)
+        for a, th, g, gs in state.blocks()]
+
+    def der(z, k):              # scale F_k g', F_k = 1 + sum_{i<=k} a_i beta_i
+        F = np.ones_like(np.asarray(z, dtype=complex))
+        for a, val in blocks[:k]:
+            F = F + a * val(z)
+        return F * scale * gp(z)
+
     norms = []
     for k in range(state.n + 1):
-        partial = ConstructionState(state.mode, state.symbol, state.bits,
-                                    state.scale, state.tol_c, k,
-                                    state.steps[:k])
-        Fv, _ = partial.float_F_pair()
-        der = lambda z, Fv=Fv: Fv(z) * scale * gp(z)
-        pair = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)), der)
+        pair = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
+                functools.partial(der, k=k))
         norms.append(spaces.seminorm(pair, state.mode).value)
     C_g = max(norms) * 1.01
     ok = all(norms[k] <= max(norms[k - 1] + 2.0 ** (-k) * C_g, C_g) * 1.10

@@ -181,10 +181,6 @@ class GeodesicBox:
 
     arc: Arc
 
-    @property
-    def is_complement(self) -> bool:
-        return self.arc.length >= 0.5
-
     def opposite(self) -> "GeodesicBox":
         return GeodesicBox(Arc((self.arc.theta_c + math.pi) % TWO_PI,
                                1.0 - self.arc.length))

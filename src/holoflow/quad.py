@@ -114,6 +114,19 @@ def _radial_nodes(eps_min, n):
 # disc integrals
 # ---------------------------------------------------------------------------
 
+def _refine(value, what):
+    """value(depth) for depth = 0, 1, ... until two successive levels agree
+    to atol + rtol |value|; returns (value, difference of the last two)."""
+    prev = value(0)
+    for depth in range(1, CONFIG.max_depth + 1):
+        cur = value(depth)
+        err = abs(cur - prev)
+        if err <= CONFIG.atol + CONFIG.rtol * abs(cur):
+            return cur, err
+        prev = cur
+    raise QuadFailure("%s did not converge within depth budget" % what)
+
+
 def _disc_value(density, depth):
     n_r = CONFIG.n_radial + 2 * depth
     n_t = CONFIG.n_angular * (2 ** depth)
@@ -137,14 +150,7 @@ def disc_integral(density):
     A reference implementation: the tests check closed-form oracles and
     the box quadrature against it.  No CLI command runs it.
     """
-    prev = _disc_value(density, 0)
-    for depth in range(1, CONFIG.max_depth + 1):
-        cur = _disc_value(density, depth)
-        err = abs(cur - prev)
-        if err <= CONFIG.atol + CONFIG.rtol * abs(cur):
-            return cur, err
-        prev = cur
-    raise QuadFailure("disc integral did not converge within depth budget")
+    return _refine(lambda depth: _disc_value(density, depth), "disc integral")
 
 
 def _box_value(box, density, depth):
@@ -196,13 +202,8 @@ def box_integral(box, density):
     if l >= 0.5:
         whole = disc_integral(density)[0]
         return whole - box_integral(box.opposite(), density)
-    prev = _box_value(box, density, 0)
-    for depth in range(1, CONFIG.max_depth + 1):
-        cur = _box_value(box, density, depth)
-        if abs(cur - prev) <= CONFIG.atol + CONFIG.rtol * abs(cur):
-            return cur
-        prev = cur
-    raise QuadFailure("box integral did not converge within depth budget")
+    return _refine(lambda depth: _box_value(box, density, depth),
+                   "box integral")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "classify",
     "flow",
     "flow_points",
+    "checked_time",
     "koenigs",
     "gamma_symbol",
 ]
@@ -47,6 +48,9 @@ class ClassificationError(Exception):
 
 class FlowBlowupError(Exception):
     """Numerical trajectory reached the guard annulus |w| = 1 - eps_min."""
+
+
+T_MAX = 10.0        # longest accepted flow time
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,8 @@ class Generator:
     _classification: Classification | None = field(default=None, repr=False)
 
     @staticmethod
-    def from_source(text, bp_tau=None, bp_p=None) -> "Generator":
-        return Generator(_expr.parse(text), bp_tau,
-                         _expr.parse(bp_p) if isinstance(bp_p, str) else bp_p)
+    def from_source(text) -> "Generator":
+        return Generator(_expr.parse(text))
 
     @property
     def dG(self) -> _expr.HoloExpr:
@@ -256,61 +259,66 @@ class Trajectory:
         return complex(self.derivs[-1])
 
 
-def _flow_rhs(gen):
-    def rhs(t, y):
-        n = y.size // 2
-        w = y[:n]
-        j = y[n:]
+def checked_time(t, t_max):
+    """t as a float if it is finite and in [0, t_max]; anything else raises
+    ValueError (exit 3) before any integration starts."""
+    t = float(t)
+    if not 0.0 <= t <= t_max:
+        raise ValueError("time must be finite and in [0, %g], got %r"
+                         % (t_max, t))
+    return t
+
+
+def _solve(gen, z0, t, t_eval, rtol, atol):
+    """RK45 for dw/dt = G(w) and dJ/dt = G'(w) J from the points z0 (J = 1)
+    up to time t; FlowBlowupError if a trajectory reaches the guard annulus
+    |w| = 1 - eps_min first."""
+    n = z0.size
+    guard = 1.0 - quad.CONFIG.eps_min
+
+    def rhs(_, y):
+        w, j = y[:n], y[n:]
         gw = _expr.evaluate_array(gen.G, w)
         dgw = _expr.evaluate_array(gen.dG, w)
         return np.concatenate([gw, dgw * j])
-    return rhs
-
-
-def flow_points(gen, z0, t):
-    """Flow an array of initial points for time t; returns (phi_t, dphi_t/dz)."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return z0.copy(), np.ones_like(z0)
-    n = z0.size
-    y0 = np.concatenate([z0, np.ones_like(z0)])
-    guard = 1.0 - quad.CONFIG.eps_min
 
     def escape(_, y):
         return guard - float(np.max(np.abs(y[:n])))
     escape.terminal = True
 
-    sol = solve_ivp(_flow_rhs(gen), (0.0, float(t)), y0, method="RK45",
-                    rtol=1e-10, atol=1e-10, events=escape)
-    if not sol.success or (sol.t_events[0].size and sol.t[-1] < t):
+    sol = solve_ivp(rhs, (0.0, t), np.concatenate([z0, np.ones_like(z0)]),
+                    method="RK45", rtol=rtol, atol=atol, t_eval=t_eval,
+                    events=escape)
+    if sol.status != 0:        # -1: a step failed; 1: the escape event fired
         raise FlowBlowupError("trajectory reached the guard annulus before t=%g" % t)
+    return sol
+
+
+def flow_points(gen, z0, t):
+    """Flow an array of initial points for time t in [0, T_MAX]; returns
+    (phi_t, dphi_t/dz, solver result or None at t = 0)."""
+    z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
+    t = checked_time(t, T_MAX)
+    if t == 0:
+        return z0.copy(), np.ones_like(z0), None
+    sol = _solve(gen, z0, t, None, 1e-10, 1e-10)
     y = sol.y[:, -1]
-    return y[:n], y[n:], sol
+    return y[:z0.size], y[z0.size:], sol
 
 
 def flow(gen, z0, t) -> Trajectory:
-    """Integrate the Cauchy problem from z0 up to time t, 17 samples."""
+    """Integrate the Cauchy problem from z0 (|z0| < 1) up to time t in
+    [0, T_MAX], 17 samples."""
     n_samples = 17
+    t = checked_time(t, T_MAX)
     z0 = complex(z0)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    times = np.linspace(0.0, float(t), n_samples)
+    if not abs(z0) < 1.0:
+        raise ValueError("z0 must lie in the open unit disc, got %r" % z0)
+    times = np.linspace(0.0, t, n_samples)
     if t == 0:
         pts = np.full(n_samples, z0, dtype=complex)
         return Trajectory(times, pts, np.ones(n_samples, dtype=complex), 0, 0.0)
-    guard = 1.0 - quad.CONFIG.eps_min
-
-    def escape(_, y):
-        return guard - abs(y[0])
-    escape.terminal = True
-
-    sol = solve_ivp(_flow_rhs(gen), (0.0, float(t)),
-                    np.array([z0, 1.0 + 0.0j]), method="RK45",
-                    rtol=1e-11, atol=1e-12, t_eval=times, events=escape)
-    if not sol.success or sol.t.size < n_samples:
-        raise FlowBlowupError("trajectory reached the guard annulus before t=%g" % t)
+    sol = _solve(gen, np.array([z0]), t, times, 1e-11, 1e-12)
     pts = sol.y[0]
     derivs = sol.y[1]
     if np.max(np.abs(pts)) >= 1.0:
@@ -362,8 +370,7 @@ def koenigs(gen):
         return h, hp
 
     def hp_ne(z):
-        return 1j / gen.G(z) if np.isscalar(z) or isinstance(z, complex) \
-            else 1j / _expr.evaluate_array(gen.G, z)
+        return 1j / gen.G(z)
 
     def h_ne(z):
         return line_integral(lambda w: 1j / _expr.evaluate_array(gen.G, w),

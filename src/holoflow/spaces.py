@@ -23,7 +23,7 @@ from . import quad
 from .expr import FunctionHandle
 from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq, translate
 from .quad import (LimitVerdict, _gl_nodes, _radial_nodes, classify_sequence,
-                   grid_sup, radial_limit, radial_schedule)
+                   grid_sup, radial_limit)
 from .semigroup import _sample_grid, classify, gamma_symbol
 
 __all__ = [
@@ -201,17 +201,10 @@ def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
     threshold); the verdict records when the rule fired.
     """
     sampler = _bloch_sampler(f, w)
-    thetas = np.arange(256) * (2.0 * math.pi / 256)
-    eit = np.exp(1j * thetas)
-
-    def angular_sup(r):
-        vals = np.asarray(sampler(r * eit), dtype=float)
-        vals = vals[np.isfinite(vals)]
-        if vals.size == 0:
-            raise ArithmeticError("no finite samples on the circle")
-        return float(np.max(vals))
-
-    return radial_limit(angular_sup, slope_rule=True)
+    # resolution 5: 2^(5+3) = 256 angles; a circle without finite samples
+    # gives -inf, which radial_limit skips
+    return radial_limit(lambda r: grid_sup(sampler, ("circle", r), 5).value,
+                        slope_rule=True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +415,8 @@ def _garsia_sweep(fp, factor, n_angles):
     eit = np.exp(1j * thetas)
     sq = lambda z: np.abs(fp(z)) ** 2
     integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq))
-    samples = []
-    for _, r in radial_schedule():
-        v = factor((1.0 - r) * (1.0 + r)) * float(np.max(integ(r * eit)))
-        if math.isfinite(v):
-            samples.append((r, v))
-    return classify_sequence(samples)
+    return radial_limit(lambda r: factor((1.0 - r) * (1.0 + r))
+                        * float(np.max(integ(r * eit))))
 
 
 def garsia_quantity(f, w=Weight.unit(), a_values=(0.0,)):

@@ -17,7 +17,7 @@ from . import expr as _expr
 from . import spaces
 from .expr import FunctionHandle
 from .quad import line_integral
-from .semigroup import flow_points
+from .semigroup import T_MAX, checked_time, flow_points
 from .spaces import Weight
 
 __all__ = [
@@ -64,8 +64,7 @@ def volterra_apply(g, f) -> FunctionHandle:
 def compose_apply(gen, t, f) -> FunctionHandle:
     """C_t f = f o phi_t as a vectorized (value, derivative) handle."""
     fv, fp = FunctionHandle.of(f)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = checked_time(t, T_MAX)
 
     def _flowed(z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -96,10 +95,16 @@ class ContinuityProbe:
 def continuity_probe(gen, f, times, space="bmoa",
                      w=Weight.unit()) -> ContinuityProbe:
     """Seminorms (spaces.seminorm at its default depth) of C_t f - f along
-    decreasing times, with a trend tag."""
-    times = list(times)
-    if any(t <= 0 for t in times) or any(b >= a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be positive and strictly decreasing")
+    decreasing times, with a trend tag.
+
+    times: 1 to 8 strictly decreasing values in (0, 1]; anything else
+    raises ValueError before any flow runs.
+    """
+    times = [checked_time(t, 1.0) for t in times]
+    if (not 0 < len(times) <= 8 or times[-1] <= 0
+            or any(b >= a for a, b in zip(times, times[1:]))):
+        raise ValueError("times must be 1 to 8 strictly decreasing values "
+                         "in (0, 1]")
     fv, fp = FunctionHandle.of(f)
     values = []
     for t in times:

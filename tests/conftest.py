@@ -1,0 +1,15 @@
+"""Fixtures shared across test modules."""
+
+import pytest
+
+from holoflow import construct
+
+
+@pytest.fixture(scope="session")
+def witness_states():
+    """The BMOA and Bloch witness states at 4 steps, keyed (mode, bits) for
+    256 and 512 bits; built once per session.  Tests only read them."""
+    return {(mode, bits): build(n_max=4, bits=bits)
+            for bits in (256, 512)
+            for mode, build in (("bmoa", construct.build_bmoa),
+                                ("bloch", construct.build_bloch))}

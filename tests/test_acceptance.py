@@ -202,12 +202,8 @@ def test_criterion_09_building_block_certification():
         "forms beta(0) = %.5f, Re beta(w) = %.5f" % (b0, bw))
 
 
-def test_criterion_10_construction_run():
-    states = {}
-    for bits in (256, 512):
-        states[("bmoa", bits)] = construct.build_bmoa(n_max=4, bits=bits)
-        states[("bloch", bits)] = construct.build_bloch(n_max=4, bits=bits)
-    for (mode, bits), st in states.items():
+def test_criterion_10_construction_run(witness_states):
+    for (mode, bits), st in witness_states.items():
         assert st.n == 4
         for n, step in enumerate(st.steps, start=1):
             assert float(step["a"]) <= 2.0 ** (-n)
@@ -218,7 +214,7 @@ def test_criterion_10_construction_run():
                    for c in st.certifications if "step" in c)
         assert st.certifications[-1]["property3_ok"]
     for mode in ("bmoa", "bloch"):
-        lo, hi = states[(mode, 256)], states[(mode, 512)]
+        lo, hi = witness_states[(mode, 256)], witness_states[(mode, 512)]
         for a, b in zip(lo.steps, hi.steps):
             assert mp.log(a["gap"], 2) == mp.log(b["gap"], 2)
             assert float(a["a"]) == pytest.approx(float(b["a"]), rel=1e-9)

@@ -155,6 +155,33 @@ def test_depth_above_cap_exits_3(capsys, monkeypatch, space):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("flow", "--generator", "-z", "--t", "nan"),
+    ("flow", "--generator", "-z", "--t", "inf"),
+    ("flow", "--generator", "-z", "--t=-1"),
+    ("flow", "--generator", "-z", "--t", "10.5"),
+    ("flow", "--generator", "i*z", "--t", "1e7"),
+    ("flow", "--generator", "-z", "--z0", "1", "--t", "1"),
+    ("flow", "--generator", "-z", "--z0", "0.8+0.8j", "--t", "1"),
+    ("flow", "--generator", "-z", "--z0", "nan", "--t", "1"),
+    ("sarason", "--generator", "-z", "--times", "nan"),
+    ("sarason", "--generator", "-z", "--times", "inf"),
+    ("sarason", "--generator", "-z", "--times", "1e6"),
+    ("sarason", "--generator", "-z", "--times", "1.5,0.1"),
+    ("sarason", "--generator", "-z", "--times", "0.1,0"),
+    ("sarason", "--generator", "-z",
+     "--times", "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1"),
+])
+def test_out_of_range_times_and_start_points_exit_3(capsys, monkeypatch,
+                                                     argv):
+    monkeypatch.setattr(cli.semigroup, "solve_ivp", _must_not_run)
+    monkeypatch.setattr(cli.volterra, "flow_points", _must_not_run)
+    code, doc = run_json(capsys, *argv)       # exactly one JSON document
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "ValueError"
+
+
 def test_flow_reaching_the_guard_annulus_exits_4(capsys):
     code, doc = run_json(capsys, "flow", "--generator", "z", "--z0", "0.5",
                          "--t", "10")       # exactly one JSON document

@@ -291,13 +291,13 @@ def test_rivals_and_decisions_follow_the_margin():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def bmoa_states():
-    return {bits: build_bmoa(n_max=4, bits=bits) for bits in (256, 512)}
+def bmoa_states(witness_states):
+    return {bits: witness_states[("bmoa", bits)] for bits in (256, 512)}
 
 
 @pytest.fixture(scope="module")
-def bloch_states():
-    return {bits: build_bloch(n_max=4, bits=bits) for bits in (256, 512)}
+def bloch_states(witness_states):
+    return {bits: witness_states[("bloch", bits)] for bits in (256, 512)}
 
 
 def _check_invariants(state):
@@ -409,6 +409,24 @@ def test_bmoa_symbol_normalization_recorded():
     with mp.workprec(256):
         total = float(mp_disc_integral(LOG_HALF_SYMBOL.base_density))
     assert 1.0 / math.sqrt(total) == pytest.approx(2.510446, abs=1e-4)
+
+
+def test_bmoa_normalization_runs_at_the_build_precision(monkeypatch):
+    # the environment's precision must not reach an explicit-bits build
+    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", "16")
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(density):
+        seen.append(mp.mp.prec)
+        raise Stop
+
+    monkeypatch.setattr(construct, "mp_disc_integral", record)
+    with pytest.raises(Stop):
+        build_bmoa(n_max=1, bits=512)
+    assert seen == [512]
 
 
 def test_bloch_normalization_is_unit_derivative_at_origin():

@@ -80,6 +80,14 @@ def test_compose_rejects_negative_time():
                       FunctionHandle.from_source("z"))
 
 
+def test_compose_at_zero_time_is_identity():
+    f = FunctionHandle.from_source("z^2")
+    ct = compose_apply(Generator.from_source("-z"), 0.0, f)
+    z = np.array([0.3 + 0.2j, -0.5])
+    assert np.array_equal(ct.val(z), f.val(z))
+    assert np.array_equal(ct.der(z), f.der(z))
+
+
 # ---------------------------------------------------------------------------
 # continuity probes (maximal subspace evidence)
 # ---------------------------------------------------------------------------

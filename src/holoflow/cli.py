@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -120,12 +121,19 @@ def cmd_flow(args):
                         "points": list(traj.points)}, series)
 
 
+def _ray(args):
+    """Radii 0, 0.1, ..., 0.9 and their points on the ray at --angle."""
+    if not math.isfinite(args.angle):
+        raise ValueError("--angle must be finite, got %r" % args.angle)
+    rr = np.linspace(0.0, 0.9, 10)
+    return rr, rr * np.exp(1j * args.angle)
+
+
 def cmd_koenigs(args):
     gen = _gen(args)
+    rr, zs = _ray(args)
     cls = semigroup.classify(gen)
     h, hp = semigroup.koenigs(gen)
-    rr = np.linspace(0.0, 0.9, 10)
-    zs = rr * np.exp(1j * args.angle)
     vals = [complex(h(z)) for z in zs]
     series = [("koenigs_abs", r, abs(v)) for r, v in zip(rr, vals)]
     return _emit(args, {"kind": cls.kind, "tau": cls.tau, "lambda": cls.lam,
@@ -135,10 +143,9 @@ def cmd_koenigs(args):
 
 def cmd_gamma(args):
     gen = _gen(args)
+    rr, zs = _ray(args)
     cls = semigroup.classify(gen)
     gam, gp = semigroup.gamma_symbol(gen)
-    rr = np.linspace(0.0, 0.9, 10)
-    zs = rr * np.exp(1j * args.angle)
     vals = [complex(gam(z)) for z in zs]
     ders = [complex(np.atleast_1d(gp(z))[0]) for z in zs]
     series = [("gamma_abs", r, abs(v)) for r, v in zip(rr, vals)]

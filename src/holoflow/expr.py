@@ -24,7 +24,6 @@ __all__ = [
     "evaluate",
     "evaluate_array",
     "differentiate",
-    "precompose_mobius",
     "to_source",
 ]
 
@@ -330,31 +329,6 @@ class FunctionHandle:
 
     def __iter__(self):            # unpacks like the (f, f') tuples
         return iter((self.val, self.der))
-
-
-def substitute(expr, replacement):
-    """Replace the variable z by another expression tree."""
-    if isinstance(expr, Var):
-        return replacement
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        cls = type(expr)
-        return cls(substitute(expr.a, replacement), substitute(expr.b, replacement))
-    if isinstance(expr, Pow):
-        return Pow(substitute(expr.a, replacement), expr.p)
-    if isinstance(expr, (Neg, Exp, Log, Sqrt)):
-        return type(expr)(substitute(expr.a, replacement))
-    raise TypeError("unknown node %r" % expr)
-
-
-def precompose_mobius(expr, m):
-    """Return the tree computing expr(m(z)) for a disc automorphism m."""
-    a, u = complex(m.a), complex(m.rot)
-    # m(z) = u * (a - z) / (1 - conj(a) z)
-    num = mul(Const(u), sub(Const(a), Var()))
-    den = sub(Const(1.0), mul(Const(a.conjugate()), Var()))
-    return substitute(expr, div(num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "arc_of",
     "box_of",
     "box_contains",
-    "translate",
     "one_minus_abs_sq",
 ]
 
@@ -234,14 +233,3 @@ def box_contains(box: GeodesicBox, z, tol=1e-12) -> bool:
     c = 1.0 / math.cos(arc.half_angle)
     rho = math.tan(arc.half_angle)
     return abs(w - c) <= rho * (1.0 + tol) + tol
-
-
-def translate(f, a):
-    """Hyperbolic translation of a function handle: f_a(z) = f(phi_a(z)) - f(a)."""
-    a = _as_complex(a)
-    fa = f(a)
-
-    def handle(z):
-        return f(phi(a, z)) - fa
-
-    return handle

@@ -21,9 +21,9 @@ import numpy as np
 from . import expr as _expr
 from . import quad
 from .expr import FunctionHandle
-from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq, translate
-from .quad import (LimitVerdict, _gl_nodes, _radial_nodes, classify_sequence,
-                   grid_sup, radial_limit)
+from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq
+from .quad import (LimitVerdict, _radial_nodes, classify_sequence, grid_sup,
+                   radial_limit)
 from .semigroup import _sample_grid, classify, gamma_symbol
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "bmoa_seminorm",
     "bmoa_vanishing",
     "seminorm",
-    "garsia_quantity",
     "lvb_check",
     "logbloch_check",
     "lvmo_check",
@@ -44,7 +43,6 @@ __all__ = [
     "minimality",
     "weight_regularity",
     "pommerenke_check",
-    "lemma31_integral",
 ]
 
 
@@ -288,16 +286,11 @@ def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
     return out
 
 
-def bmoa_seminorm(f, w=Weight.unit(), J=8,
-                  fracs=(1.0, 0.75)) -> SeminormReport:
-    """Sqrt of the sup over the dyadic arc family of weighted box averages.
-
-    fracs sets the arc lengths per octave (fracs=(1.0,) with J=0 restricts
-    to the full-circle arc, whose average is the plain disc integral).
-    """
+def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
+    """Sqrt of the sup over the dyadic arc family of weighted box averages."""
     if not 0 <= J <= MAX_J:
         raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
-    fam = _box_average_family(f, w, J, fracs=fracs)
+    fam = _box_average_family(f, w, J)
     best_val, best_arc = -math.inf, None
     history = []
     octave_sup = {}
@@ -419,16 +412,6 @@ def _garsia_sweep(fp, factor, n_angles):
                         * float(np.max(integ(r * eit))))
 
 
-def garsia_quantity(f, w=Weight.unit(), a_values=(0.0,)):
-    """omega(a)^2 int |f'|^2 (1 - |phi_a|^2) dm for each a."""
-    _, fp = FunctionHandle.of(f)
-    a = np.atleast_1d(np.asarray(a_values, dtype=complex))
-    sq = lambda z: np.abs(fp(z)) ** 2
-    hot = [float(np.angle(ai)) for ai in a if ai != 0]
-    integ = GarsiaIntegrator(sq, _density_hot_angles(sq) + hot)
-    return w.omega(a) ** 2 * integ(a)
-
-
 # ---------------------------------------------------------------------------
 # LVB / LVMO condition checkers
 # ---------------------------------------------------------------------------
@@ -469,31 +452,30 @@ def logbloch_check(gen) -> ConditionReport:
                            v.tag in ("vanishes", "bounded_nonvanishing"))
 
 
-def _lvmo_verdict(gen, printed_form=False):
+def _lvmo_verdict(gen):
     cls = classify(gen)
-    if cls.kind == "elliptic" and not printed_form:
+    if cls.kind == "elliptic":
         _, gp = gamma_symbol(gen)
     else:
         gp = lambda z: 1j / _expr.evaluate_array(gen.G, z)
     return _garsia_sweep(gp, lambda oms: (math.log(math.e / oms)) ** 2, 16)
 
 
-def lvmo_check(gen, printed_form=False) -> ConditionReport:
+def lvmo_check(gen) -> ConditionReport:
     """Lambda(a) = log(e/(1-|a|^2))^2 int |gamma'|^2 (1-|phi_a|^2) dm -> 0.
 
     Uses the gamma-symbol integrand (gamma' = (z-tau)/G elliptic, i/G
-    boundary); printed_form=True forces the i/G integrand.
+    boundary).
     """
-    v = _lvmo_verdict(gen, printed_form=printed_form)
-    return ConditionReport("LVMO", v, v.tag == "vanishes",
-                           gamma_form=not printed_form)
+    v = _lvmo_verdict(gen)
+    return ConditionReport("LVMO", v, v.tag == "vanishes", gamma_form=True)
 
 
-def lbmo_check(gen, printed_form=False) -> ConditionReport:
-    v = _lvmo_verdict(gen, printed_form=printed_form)
+def lbmo_check(gen) -> ConditionReport:
+    v = _lvmo_verdict(gen)
     return ConditionReport("LBMO", v,
                            v.tag in ("vanishes", "bounded_nonvanishing"),
-                           gamma_form=not printed_form)
+                           gamma_form=True)
 
 
 def minimality(gen) -> MinimalityReport:
@@ -554,46 +536,3 @@ def pommerenke_check(f, w: Weight) -> PommerenkeReport:
     applies = hyp.tag == "vanishes"
     holds = (concl.tag == "vanishes") if applies else None
     return PommerenkeReport(True, hyp, concl, applies, holds)
-
-
-def lemma31_integral(f, w: Weight):
-    """Estimate int_0^1 sup_{a, |z| <= r} (omega(a) |f_a(z)|)^2 dr.
-
-    f_a = f(phi_a) - f(a); the inner sup runs over a coarse a-grid and 16
-    angles at |z| = r (|f_a| is subharmonic so the sup sits on the circle);
-    the radial tail is cut after 30 dyadic segments.
-    Returns (estimate, "finite" | "growth") where "growth" flags an
-    increasing dyadic tail.
-    """
-    fv, _ = FunctionHandle.of(f)
-    a_grid = [rr * np.exp(2j * math.pi * k / 8)
-              for rr in (0.0, 0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-8)
-              for k in range(8)]
-    a_grid = np.array(a_grid, dtype=complex)
-    fa = [translate(fv, a) for a in a_grid]
-    zt = np.exp(2j * math.pi * np.arange(16) / 16)
-
-    def inner(r):
-        z = r * zt
-        best = 0.0
-        for a, h in zip(a_grid, fa):
-            om = float(w.omega(np.array([a]))[0])
-            vals = np.abs(h(z)) * om
-            vals = vals[np.isfinite(vals)]
-            if vals.size:
-                best = max(best, float(np.max(vals)))
-        return best * best
-
-    # [0, 1/2] panel by Gauss-Legendre, then dyadic midpoint segments
-    r0, w0 = _gl_nodes(0.0, 0.5, 8)
-    total = float(np.sum([inner(r) * ww for r, ww in zip(r0, w0)]))
-    contribs = []
-    gap = 0.5
-    for _ in range(30):
-        c = inner(1.0 - 0.75 * gap) * 0.5 * gap
-        contribs.append(c)
-        total += c
-        gap /= 2.0
-    tail = contribs[-6:]
-    growing = all(b >= a for a, b in zip(tail, tail[1:])) and tail[-1] > tail[0]
-    return total, ("growth" if growing else "finite")

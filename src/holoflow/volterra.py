@@ -21,14 +21,11 @@ from .semigroup import T_MAX, checked_time, flow_points
 from .spaces import Weight
 
 __all__ = [
-    "FunctionHandle",
     "OperatorProbe",
     "ContinuityProbe",
-    "CoreReport",
     "volterra_apply",
     "compose_apply",
     "continuity_probe",
-    "dense_core_test",
     "boundedness_probe",
     "STANDARD_FAMILY",
 ]
@@ -126,25 +123,6 @@ def continuity_probe(gen, f, times, space="bmoa",
 
 
 @dataclass
-class CoreReport:
-    report: spaces.SeminormReport
-    in_core: bool
-
-
-def dense_core_test(gen, f, space="bloch", w=Weight.unit()) -> CoreReport:
-    """Derivative-level core membership: is the function with derivative
-    G f' in the space (finite, stable seminorm)?"""
-    _, fp = FunctionHandle.of(f)
-    der = lambda z: _expr.evaluate_array(gen.G, z) * fp(z)
-    handle = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)), der)
-    rep = spaces.seminorm(handle, space, w)
-    vals = [v for _, v in rep.history]
-    stable = len(vals) < 2 or vals[-1] <= 1.25 * vals[-2] + 1e-12
-    finite = math.isfinite(rep.value) and rep.value < 1e6
-    return CoreReport(rep, finite and stable)
-
-
-@dataclass
 class OperatorProbe:
     symbol: str
     space: str
@@ -156,33 +134,30 @@ class OperatorProbe:
     marker: str = "probe, not proof"
 
 
-def boundedness_probe(g, space="bmoa", family=STANDARD_FAMILY,
-                      w=Weight.unit(), J_coarse=5, J_fine=9) -> OperatorProbe:
-    """Ratios ||T_g f|| / ||f|| over the test family at two resolutions.
+def boundedness_probe(g, space="bmoa", w=Weight.unit()) -> OperatorProbe:
+    """Ratios ||T_g f|| / ||f|| over STANDARD_FAMILY at depths J = 5 and 9.
 
     The denominator is the seminorm plus |f(0)| (the constant member has zero
     seminorm).  ratio_growth > 1 under refinement is the divergence signal;
     finite families give necessary evidence only.
     """
-    if not family:
-        raise ValueError("family must be nonempty")
     if isinstance(g, str):
         g_src, g = g, _expr.parse(g)
     else:
         g_src = _expr.to_source(g) if isinstance(g, _expr.HoloExpr) else repr(g)
-    members, mnorms, inorms, ratios, growth = [], [], [], [], []
-    for src in family:
+    mnorms, inorms, ratios, growth = [], [], [], []
+    for src in STANDARD_FAMILY:
         f = FunctionHandle.of(src)
         f0 = abs(complex(f.val(np.array([0.0 + 0.0j]))[0]))
         image = volterra_apply(g, f)
         r = []
-        for J in (J_coarse, J_fine):
+        for J in (5, 9):
             num = spaces.seminorm(image, space, w, J).value
             den = spaces.seminorm(f, space, w, J).value + f0
             r.append(num / den if den > 0 else math.inf)
-        members.append(src if isinstance(src, str) else _expr.to_source(src))
-        mnorms.append(den)            # num and den as computed at J_fine
+        mnorms.append(den)            # num and den as computed at J = 9
         inorms.append(num)
         ratios.append(r[1])
         growth.append(r[1] / r[0] if r[0] > 0 else math.inf)
-    return OperatorProbe(g_src, space, members, mnorms, inorms, ratios, growth)
+    return OperatorProbe(g_src, space, list(STANDARD_FAMILY), mnorms, inorms,
+                         ratios, growth)

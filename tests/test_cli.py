@@ -1,10 +1,12 @@
 """CLI: subcommand dispatch, JSON schema, exit codes, determinism, CSV."""
 
+import ast
 import importlib
 import inspect
 import json
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,48 @@ def test_no_function_takes_a_cfg_parameter():
             found += ["%s.%s" % (name, f.__qualname__) for f in funcs
                       if "cfg" in inspect.signature(f).parameters]
     assert found == []
+
+
+def _identifiers(nodes):
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+    return out
+
+
+def _defines(stmt, name):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_every_exported_name_has_a_consumer():
+    # a public name that only unit tests reach is dead weight: it needs a
+    # user in another module, a demo, the acceptance criteria, or its own
+    # module outside its definition and __all__
+    root = Path(__file__).resolve().parents[1]
+    modules = {p: ast.parse(p.read_text())
+               for p in sorted((root / "src" / "holoflow").glob("*.py"))}
+    outside = [root / "tests" / "test_acceptance.py"]
+    outside += sorted((root / "demos").glob("*.py"))
+    outside_ids = _identifiers(ast.parse(p.read_text()) for p in outside)
+    unused = []
+    for path, tree in modules.items():
+        others = _identifiers(t for p, t in modules.items() if p != path)
+        exported = [s for s in tree.body if _defines(s, "__all__")]
+        for name in ast.literal_eval(exported[0].value) if exported else ():
+            own = _identifiers(s for s in tree.body if s not in exported
+                               and not _defines(s, name))
+            if name not in others | outside_ids | own:
+                unused.append("%s.%s" % (path.stem, name))
+    assert unused == []
 
 
 def test_numbers_rendered_as_decimal_strings(capsys):
@@ -176,6 +220,23 @@ def test_out_of_range_times_and_start_points_exit_3(capsys, monkeypatch,
                                                      argv):
     monkeypatch.setattr(cli.semigroup, "solve_ivp", _must_not_run)
     monkeypatch.setattr(cli.volterra, "flow_points", _must_not_run)
+    code, doc = run_json(capsys, *argv)       # exactly one JSON document
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("koenigs", "--generator", "-z", "--angle", "inf"),
+    ("koenigs", "--generator", "-z", "--angle", "nan"),
+    ("koenigs", "--generator", "(1-z)^2", "--angle", "nan"),
+    ("gamma", "--generator", "-z", "--angle", "nan"),
+    ("gamma", "--generator", "-z", "--angle=-inf"),
+])
+def test_non_finite_angle_exits_3(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli.semigroup, "classify", _must_not_run)
+    monkeypatch.setattr(cli.quad, "line_integral", _must_not_run)
+    monkeypatch.setattr(cli.semigroup, "line_integral", _must_not_run)
     code, doc = run_json(capsys, *argv)       # exactly one JSON document
     assert code == cli.EXIT_DOMAIN
     assert doc["error"]["exit_code"] == 3

@@ -1,15 +1,12 @@
-"""Expression trees: parsing, differentiation, evaluation, composition."""
+"""Expression trees: parsing, differentiation, evaluation."""
 
 import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from holoflow import expr
 from holoflow.expr import EvalDomainError, ParseDiagnostic
-from holoflow.hypgeo import MobiusMap
 
 CORPUS = [
     "1",
@@ -128,32 +125,3 @@ def test_principal_branch_half_power():
     # (log(e/(1-z)))^0.5 at z=0 is 1 (principal branch of x^a = exp(a log x))
     tree = expr.parse("(log(e/(1 - z)))^0.5")
     assert _eval(tree, 0.0j) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# Mobius precomposition
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=40, deadline=None)
-@given(st.complex_numbers(max_magnitude=0.6, allow_infinity=False,
-                          allow_nan=False),
-       st.complex_numbers(max_magnitude=0.7, allow_infinity=False,
-                          allow_nan=False))
-def test_precompose_mobius_equals_composition(a, z):
-    m = MobiusMap.involution(a)
-    for src in ("z^2", "log(e/(1 - 0.5*z))"):
-        tree = expr.parse(src)
-        composed = expr.precompose_mobius(tree, m)
-        assert _eval(composed, z) == pytest.approx(_eval(tree, complex(m(z))),
-                                                   abs=1e-12, rel=1e-12)
-
-
-def test_precompose_derivative_chain_rule():
-    m = MobiusMap.involution(0.4 + 0.1j)
-    tree = expr.parse("z^2 - 1")
-    dcomp = expr.differentiate(expr.precompose_mobius(tree, m))
-    z = 0.25 - 0.3j
-    h = 1e-6
-    fd = (_eval(expr.precompose_mobius(tree, m), z + h)
-          - _eval(expr.precompose_mobius(tree, m), z - h)) / (2 * h)
-    assert _eval(dcomp, z) == pytest.approx(fd, rel=1e-6, abs=1e-8)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from holoflow.hypgeo import (Arc, DiscPoint, GeodesicBox, MobiusMap, arc_of,
                              box_contains, box_of, hyp_dist,
-                             midpoint_from_origin, one_minus_abs_sq, phi,
-                             translate)
+                             midpoint_from_origin, one_minus_abs_sq, phi)
 
 disc_pts = st.complex_numbers(max_magnitude=0.95, allow_infinity=False,
                               allow_nan=False)
@@ -139,11 +138,3 @@ def test_arc_of_near_boundary_point_uses_stable_form():
     arc = arc_of(p)
     # |I_w| ~ gap / pi for small gaps (half-angle ~ gap)
     assert arc.length == pytest.approx(1e-10 / math.pi, rel=1e-4)
-
-
-def test_translate_is_composition_minus_value_at_a():
-    f = lambda z: z ** 2
-    g = translate(f, 0.5)
-    z = 0.3 + 0.2j
-    assert g(z) == pytest.approx(phi(0.5, z) ** 2 - 0.25)
-    assert g(0.0) == pytest.approx(0.0)   # phi_a(0) = a, so g(0) = 0

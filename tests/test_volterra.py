@@ -1,4 +1,4 @@
-"""Volterra operators, composition semigroups, continuity and core probes."""
+"""Volterra operators, composition semigroups, continuity probes."""
 
 import math
 
@@ -9,8 +9,7 @@ from holoflow.expr import FunctionHandle
 from holoflow.semigroup import Generator
 from holoflow.spaces import Weight
 from holoflow.volterra import (STANDARD_FAMILY, boundedness_probe,
-                               compose_apply, continuity_probe,
-                               dense_core_test, volterra_apply)
+                               compose_apply, continuity_probe, volterra_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +122,10 @@ def test_continuity_probe_requires_decreasing_times():
         continuity_probe(gen, FunctionHandle.from_source("z"), (0.01, 0.1))
 
 
-def test_dense_core_membership():
-    gen = Generator.from_source("-z")
-    for src in ("z", "z^2", "(0.5 - z)/(1 - 0.5*z)"):
-        assert dense_core_test(gen, FunctionHandle.from_source(src)).in_core
-
-
 def test_unknown_space_is_rejected():
     # an unknown space name must not fall through to the Bloch seminorm
-    gen = Generator.from_source("-z")
     with pytest.raises(ValueError):
         boundedness_probe("z", space="bmo")
-    with pytest.raises(ValueError):
-        dense_core_test(gen, FunctionHandle.from_source("z"), space="bmo")
 
 
 # ---------------------------------------------------------------------------
@@ -163,5 +153,5 @@ def test_zero_symbol_has_zero_ratios():
 def test_log_symbol_ratio_growth_under_refinement():
     # g = log(e/(1-z)) is not a bounded BMOA symbol; at least one family
     # member's ratio keeps growing as the arc family is refined
-    probe = boundedness_probe("log(e/(1 - z))", J_coarse=5, J_fine=9)
+    probe = boundedness_probe("log(e/(1 - z))")
     assert max(probe.ratio_growth) >= 1.1

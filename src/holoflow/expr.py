@@ -4,14 +4,20 @@ Expressions are immutable trees over the variable z, complex constants
 (including the literals i and e), the four arithmetic operations, powers with
 a real constant exponent, and exp / log / sqrt (principal branch everywhere).
 Evaluation accepts either a scalar complex or a numpy array of points and is
-pure, so trees can be shared freely between workers.
+pure, so trees can be shared freely between workers.  Arrays are evaluated in
+2^14-point chunks, one tree walk each, on a thread pool with one worker per
+usable CPU; every point takes the same numpy loops whatever the chunking, so
+the results are bit-identical and deterministic for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -52,9 +58,6 @@ class HoloExpr:
 
     __slots__ = ()
 
-    def _ev(self, z):
-        raise NotImplementedError
-
     def _d(self):
         raise NotImplementedError
 
@@ -71,18 +74,12 @@ class Const(HoloExpr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def _ev(self, z):
-        return np.full_like(z, self.value)
-
     def _d(self):
         return Const(0.0)
 
 
 class Var(HoloExpr):
     __slots__ = ()
-
-    def _ev(self, z):
-        return z
 
     def _d(self):
         return Const(1.0)
@@ -94,9 +91,6 @@ class Add(HoloExpr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def _ev(self, z):
-        return self.a._ev(z) + self.b._ev(z)
-
     def _d(self):
         return add(self.a._d(), self.b._d())
 
@@ -106,9 +100,6 @@ class Sub(HoloExpr):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def _ev(self, z):
-        return self.a._ev(z) - self.b._ev(z)
 
     def _d(self):
         return sub(self.a._d(), self.b._d())
@@ -120,9 +111,6 @@ class Mul(HoloExpr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def _ev(self, z):
-        return self.a._ev(z) * self.b._ev(z)
-
     def _d(self):
         return add(mul(self.a._d(), self.b), mul(self.a, self.b._d()))
 
@@ -132,9 +120,6 @@ class Div(HoloExpr):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def _ev(self, z):
-        return self.a._ev(z) / self.b._ev(z)
 
     def _d(self):
         num = sub(mul(self.a._d(), self.b), mul(self.a, self.b._d()))
@@ -146,9 +131,6 @@ class Neg(HoloExpr):
 
     def __init__(self, a):
         self.a = a
-
-    def _ev(self, z):
-        return -self.a._ev(z)
 
     def _d(self):
         return neg(self.a._d())
@@ -162,9 +144,6 @@ class Pow(HoloExpr):
     def __init__(self, a, p):
         self.a, self.p = a, float(p)
 
-    def _ev(self, z):
-        return np.power(self.a._ev(z), self.p)
-
     def _d(self):
         # d(u^p) = p * u^(p-1) * u'
         return mul(mul(Const(self.p), Pow(self.a, self.p - 1.0)), self.a._d())
@@ -176,9 +155,6 @@ class Exp(HoloExpr):
     def __init__(self, a):
         self.a = a
 
-    def _ev(self, z):
-        return np.exp(self.a._ev(z))
-
     def _d(self):
         return mul(Exp(self.a), self.a._d())
 
@@ -189,9 +165,6 @@ class Log(HoloExpr):
     def __init__(self, a):
         self.a = a
 
-    def _ev(self, z):
-        return np.log(self.a._ev(z))
-
     def _d(self):
         return div(self.a._d(), self.a)
 
@@ -201,9 +174,6 @@ class Sqrt(HoloExpr):
 
     def __init__(self, a):
         self.a = a
-
-    def _ev(self, z):
-        return np.sqrt(self.a._ev(z))
 
     def _d(self):
         return div(self.a._d(), mul(Const(2.0), Sqrt(self.a)))
@@ -286,11 +256,59 @@ def evaluate(expr, z):
 
 
 def evaluate_array(expr, z):
-    """Vectorized evaluation; non-finite entries mark excluded samples."""
+    """Vectorized evaluation in the shape of z; non-finite entries mark excluded samples."""
     z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    spans = [slice(i, i + _CHUNK) for i in range(0, flat.size, _CHUNK)] or [slice(None)]
+    run = _POOL.map if len(spans) > 1 else map      # one chunk runs in this thread
+    list(run(_fill, repeat(expr), repeat(flat), repeat(out), spans))
+    return out.reshape(z.shape)
+
+
+_CHUNK = 1 << 14
+_UFUNC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.true_divide,
+          Neg: np.negative, Exp: np.exp, Log: np.log, Sqrt: np.sqrt}
+
+
+def _new_pool():
+    # One worker per usable CPU; the threads start on the first submit.  A
+    # forked child has none of its parent's threads, so it gets a new pool.
+    global _POOL
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    _POOL = ThreadPoolExecutor(n)
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _fill(expr, z, out, span):
+    """out[span] = expr(z[span]); numpy's error state is per thread."""
     with np.errstate(all="ignore"):
-        out = expr._ev(z)
-    return np.asarray(out, dtype=complex)
+        out[span] = _walk(expr, z[span], {})
+
+
+def _walk(node, z, memo):
+    # Constants are one-element arrays: they broadcast with the same ufunc
+    # loop (and bytes) as grid-sized ones, numpy scalars do not.  memo, keyed
+    # by id, evaluates each node a derivative tree shares once.
+    v = memo.get(id(node))
+    if v is None:
+        cls = type(node)
+        if cls is Var:
+            v = z
+        elif cls is Const:
+            v = np.array([node.value])
+        elif cls is Pow:
+            v = np.power(_walk(node.a, z, memo), node.p)
+        elif cls in _UFUNC:
+            v = _UFUNC[cls](*(_walk(getattr(node, s), z, memo) for s in cls.__slots__))
+        else:
+            raise TypeError("unknown node %s" % cls.__name__)
+        memo[id(node)] = v
+    return v
 
 
 def differentiate(expr):

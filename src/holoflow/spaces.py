@@ -3,12 +3,13 @@
 Seminorms are certified grid lower bounds with refinement diagnostics, never
 exact norms.  Box averages over the dyadic arc family are computed on a master
 polar grid with per-ring angular prefix sums, so the whole family costs one
-density evaluation.  The a-dependent Garsia-style integrals are evaluated
-after the substitution z = phi_a(u), which pulls the concentration near a
-back to the origin where the fixed grid resolves it:
+density evaluation.  The a-dependent Garsia-style integrals
 
-    int g(z) (1 - |phi_a(z)|^2) dm(z)
-        = int g(phi_a(u)) |phi_a'(u)|^2 (1 - |u|^2) dm(u).
+    int g(z) (1 - |phi_a(z)|^2) dm(z),
+    1 - |phi_a(z)|^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2,
+
+sample g once on a polar grid clustered at the hot angles, where g or the
+kernel peaks; each query a applies the kernel to them (GarsiaIntegrator).
 """
 
 from __future__ import annotations

@@ -1,6 +1,11 @@
 """Expression trees: parsing, differentiation, evaluation."""
 
 import cmath
+import multiprocessing
+import os
+import queue
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,3 +130,147 @@ def test_principal_branch_half_power():
     # (log(e/(1-z)))^0.5 at z=0 is 1 (principal branch of x^a = exp(a log x))
     tree = expr.parse("(log(e/(1 - z)))^0.5")
     assert _eval(tree, 0.0j) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the single-walk evaluator against the recursive reference
+# ---------------------------------------------------------------------------
+
+def _reference(node, z):
+    """The recursive evaluator the single walk replaced: every constant a
+    grid-sized array, every subtree evaluated again wherever it occurs."""
+    def ev(e):
+        return _reference(e, z)
+    if isinstance(node, expr.Const):
+        return np.full_like(z, node.value)
+    if isinstance(node, expr.Var):
+        return z
+    if isinstance(node, expr.Add):
+        return ev(node.a) + ev(node.b)
+    if isinstance(node, expr.Sub):
+        return ev(node.a) - ev(node.b)
+    if isinstance(node, expr.Mul):
+        return ev(node.a) * ev(node.b)
+    if isinstance(node, expr.Div):
+        return ev(node.a) / ev(node.b)
+    if isinstance(node, expr.Neg):
+        return -ev(node.a)
+    if isinstance(node, expr.Pow):
+        return np.power(ev(node.a), node.p)
+    return {expr.Exp: np.exp, expr.Log: np.log, expr.Sqrt: np.sqrt}[type(node)](ev(node.a))
+
+
+def reference_evaluate(tree, z):
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(all="ignore"):
+        return np.asarray(_reference(tree, z), dtype=complex)
+
+
+def _rotated(src):
+    # f(z) -> f(cz) with c written as (a+b*i), as the benchmark rotates
+    c = cmath.exp(0.7j)
+    return src.replace("z", "((%.17f+%.17f*i)*z)" % (c.real, c.imag))
+
+
+CHUNK = 1 << 14
+
+
+def _disc_points(shape, seed=7):
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    pts = 0.999 * np.sqrt(rng.uniform(0, 1, n)) \
+        * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    k = min(n, 3)
+    pts[:k] = (0.0, 1.0, -1.0)[:k]  # branch points and poles of the corpus
+    return pts.reshape(shape)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("src", CORPUS + [pytest.param(_rotated(s), id="rotated " + s)
+                                          for s in CORPUS]
+                         + ["(-0.97+0.23*i)*(0.3+0.7*i)*z"])
+def test_evaluator_is_bit_identical_to_recursive_reference(src):
+    tree = expr.parse(src)
+    d1 = expr.differentiate(tree)
+    for t in (tree, d1, expr.differentiate(d1)):
+        for shape in ((1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (90, 4096)):
+            z = _disc_points(shape)
+            assert _same_bytes(expr.evaluate_array(t, z), reference_evaluate(t, z))
+
+
+@pytest.mark.parametrize("src", ["1", "1 + 2", "i*e", "exp(2)/log(3)", "-(0.5)^2"])
+def test_constant_only_trees_have_the_input_shape(src):
+    tree = expr.parse(src)
+    for shape in ((1,), (3, 4), (CHUNK + 1,), (90, 4096)):
+        z = _disc_points(shape)
+        assert _same_bytes(expr.evaluate_array(tree, z), reference_evaluate(tree, z))
+    assert expr.evaluate_array(tree, np.asarray(0.5j)).shape == ()
+
+
+def test_zero_d_input_follows_the_array_loop():
+    # numpy scalar math rounds this constant product differently from the
+    # array loop; a 0-d input gets the array loop's bytes and shape ()
+    tree = expr.parse("(-0.97+0.23*i)*(0.3+0.7*i)*z")
+    v = expr.evaluate_array(tree, np.asarray(1.0 + 0.0j))
+    assert v.shape == ()
+    assert v.tobytes() == reference_evaluate(tree, np.array([1.0 + 0.0j])).tobytes()
+    assert complex(v) == -0.452 - 0.61j
+
+
+def test_single_worker_pool_gives_the_same_bytes(monkeypatch):
+    tree = expr.differentiate(expr.parse(_rotated("(log(e/(1 - z)))^0.5")))
+    z = _disc_points((90, 4096))
+    default = expr.evaluate_array(tree, z)
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(expr, "_POOL", pool)
+        single = expr.evaluate_array(tree, z)
+    assert _same_bytes(single, default)
+
+
+def test_no_warning_escapes_the_worker_threads():
+    z = _disc_points((3 * CHUNK + 5,))
+    z[CHUNK + 11], z[-1] = 0.5, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pole = expr.evaluate_array(expr.parse("1/(z - 0.5)"), z)
+        branch = expr.evaluate_array(expr.parse("log(z)"), z)
+    assert not np.isfinite(pole[CHUNK + 11])
+    assert not np.isfinite(branch[-1])
+    assert np.sum(~np.isfinite(pole)) == 1
+
+
+def test_worker_exception_reaches_the_caller():
+    class Unknown(expr.HoloExpr):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="unknown node"):
+        expr.evaluate_array(expr.Add(expr.Var(), Unknown()), _disc_points((2 * CHUNK,)))
+
+
+def _evaluate_in_child(results, tree, z, want):
+    results.put(expr.evaluate_array(tree, z).tobytes() == want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_evaluates_large_grids():
+    # the parent's pool threads do not exist in a forked child
+    tree = expr.parse("log(e/(1 - z))")
+    z = _disc_points((3 * CHUNK,))
+    want = expr.evaluate_array(tree, z).tobytes()      # starts the pool threads
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_evaluate_in_child, args=(results, tree, z, want))
+    child.start()
+    try:
+        same = results.get(timeout=30)
+    except queue.Empty:
+        same = None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert same is True

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow.hypgeo import (Arc, DiscPoint, GeodesicBox, MobiusMap, arc_of,
-                             box_contains, box_of, hyp_dist,
-                             midpoint_from_origin, one_minus_abs_sq, phi)
+from holoflow.hypgeo import (Arc, DiscPoint, MobiusMap, arc_of, box_contains,
+                             box_of, hyp_dist, midpoint_from_origin,
+                             one_minus_abs_sq, phi)
 
 disc_pts = st.complex_numbers(max_magnitude=0.95, allow_infinity=False,
                               allow_nan=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from holoflow import quad
-from holoflow.hypgeo import Arc, GeodesicBox, box_of, phi
+from holoflow.hypgeo import Arc, box_of, phi
 from holoflow.quad import (QuadFailure, _radial_panels, box_integral,
                            classify_sequence, disc_integral, grid_sup,
                            line_integral, radial_limit, radial_schedule)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import expr, semigroup
+from holoflow import expr
 from holoflow.hypgeo import hyp_dist
 from holoflow.semigroup import (AdmissibilityError, Generator, berkson_porta,
                                 classify, flow, flow_points, gamma_symbol,

@@ -7,7 +7,6 @@ import pytest
 
 from holoflow.expr import FunctionHandle
 from holoflow.semigroup import Generator
-from holoflow.spaces import Weight
 from holoflow.volterra import (STANDARD_FAMILY, boundedness_probe,
                                compose_apply, continuity_probe, volterra_apply)
 

@@ -17,7 +17,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
@@ -261,9 +261,15 @@ def evaluate_array(expr, z):
     flat = z.reshape(-1)
     out = np.empty_like(flat)
     spans = [slice(i, i + _CHUNK) for i in range(0, flat.size, _CHUNK)] or [slice(None)]
-    run = _POOL.map if len(spans) > 1 else map      # one chunk runs in this thread
-    list(run(_fill, repeat(expr), repeat(flat), repeat(out), spans))
+    _map(partial(_fill, expr, flat, out), spans)
     return out.reshape(z.shape)
+
+
+def _map(fn, items):
+    """[fn(x) for x in items] on the pool; a single item runs in this thread.
+    fn must not call _map (evaluate_array included): a task that waits on
+    tasks queued behind it deadlocks the pool."""
+    return list((_POOL.map if len(items) > 1 else map)(fn, items))
 
 
 _CHUNK = 1 << 14

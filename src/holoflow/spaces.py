@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import expr as _expr
 from . import quad
-from .expr import FunctionHandle
+from .expr import _CHUNK, FunctionHandle, _map
 from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq
 from .quad import (LimitVerdict, _radial_nodes, classify_sequence, grid_sup,
                    radial_limit)
@@ -233,23 +234,35 @@ def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
 
     Returns {j: (centers, averages)} for arcs of length 2^-j, j = 0..J, with
     centers on the 2^(j+2)-point angular grid, each average already carrying
-    the 1/l normalization and the weight's arc factor.
+    the 1/l normalization and the weight's arc factor.  f' is evaluated once
+    on the whole grid (Sarason's density is one ODE system over all points);
+    the per-ring prefix sums, then each member's window sums over its rings
+    in ring order, run on the pool in ~2^14-cell blocks of whole rings, then
+    of columns: the bits do not depend on the blocks or the workers.
     """
     _, fp = FunctionHandle.of(f)
     r, wr, n_theta = _master_grid(J)
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     z = r[:, None] * np.exp(1j * thetas[None, :])
-    vals = np.abs(fp(z)) ** 2 * one_minus_abs_sq(z)
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    # per-ring prefix sums of cell values; windows read off by interpolation
-    pref = np.concatenate([np.zeros((r.size, 1)), np.cumsum(vals, axis=1)],
-                          axis=1)
+    vals = one_minus_abs_sq(z)      # then the cell values, ring by ring
+    dens = fp(z)
+    del z                # and dens after the ring pass: a lower memory peak
+    pref = np.zeros((r.size, n_theta + 1))  # per-ring prefix sums of vals
+
+    def rings(rows):
+        v = np.abs(dens[rows]) ** 2 * vals[rows]
+        vals[rows] = np.where(np.isfinite(v), v, 0.0)
+        np.cumsum(vals[rows], axis=1, out=pref[rows, 1:])
+
+    per = max(1, _CHUNK // n_theta)
+    _map(rings, [slice(i, i + per) for i in range(0, r.size, per)])
+    del dens
     totals = pref[:, -1]
     dtheta = 2.0 * math.pi / n_theta
 
-    def window(rows, lo, hi):
-        """Integrals of the given rings' cell values over angle-index
-        windows [lo, hi] (one row of windows per ring)."""
+    def windows(rows, h, c):
+        """Per center c, the weighted sum of the rings' integrals on c -+ h."""
+        lo, hi = (c - h) / dtheta, (c + h) / dtheta
         wrap = np.floor(lo / n_theta)
         lo = lo - wrap * n_theta
         hi = hi - wrap * n_theta
@@ -261,7 +274,7 @@ def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
             return (full * totals[rows] + pref[rows, k]
                     + (x - k) * vals[rows, k])
 
-        return cum(hi) - cum(lo)
+        return np.sum(wr[rows] * (cum(hi) - cum(lo)) / n_theta, axis=0)
 
     out = []
     for j in range(J + 1):
@@ -274,14 +287,10 @@ def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
             box = GeodesicBox(Arc(0.0, length))
             half = box.angular_halfwidth(r)  # per-ring halfwidth, nan = empty
             rows = np.nonzero(half > 0.0)[0][:, None]
-            h = half[rows]
-            # column blocks of ~2^14 cells keep the temporaries in cache;
-            # each column sums its rings in ring order, as a loop would
-            step = max(1, (1 << 14) // max(rows.size, 1))
-            acc = np.concatenate([
-                np.sum(wr[rows] * window(rows, (c - h) / dtheta,
-                                         (c + h) / dtheta) / n_theta, axis=0)
-                for c in np.split(centers, range(step, n_c, step))])
+            step = max(1, _CHUNK // max(rows.size, 1))
+            acc = np.concatenate(_map(
+                partial(windows, rows, half[rows]),
+                np.split(centers, range(step, n_c, step))))
             out.append((j, length, centers,
                         w.arc_factor(length) * acc / length))
     return out
@@ -383,9 +392,13 @@ class GarsiaIntegrator:
     def __call__(self, a_values):
         a = np.atleast_1d(np.asarray(a_values, dtype=complex))
         out = np.empty(a.size)
+        kernel, t = np.empty(self._z.size), np.empty(_CHUNK, dtype=complex)
         for i, ai in enumerate(a):
-            kernel = (1.0 - abs(ai) ** 2) / \
-                np.abs(1.0 - ai.conjugate() * self._z) ** 2
+            for k in range(0, kernel.size, _CHUNK):     # cache-sized chunks
+                zk, kk = self._z[k:k + _CHUNK], kernel[k:k + _CHUNK]
+                tk = np.multiply(ai.conjugate(), zk, out=t[:zk.size])
+                np.abs(np.subtract(1.0, tk, out=tk), out=kk)
+                np.divide(1.0 - abs(ai) ** 2, np.square(kk, out=kk), out=kk)
             out[i] = float(self._base @ kernel)
         return out
 

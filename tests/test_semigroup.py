@@ -1,16 +1,17 @@
 """Flows, classification, Berkson-Porta inputs, Koenigs and gamma symbols."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
-from holoflow import expr
+from holoflow import cli, expr, semigroup
 from holoflow.hypgeo import hyp_dist
-from holoflow.semigroup import (AdmissibilityError, Generator, berkson_porta,
-                                classify, flow, flow_points, gamma_symbol,
-                                koenigs)
+from holoflow.semigroup import (AdmissibilityError, ClassificationError,
+                                Generator, berkson_porta, classify, flow,
+                                flow_points, gamma_symbol, koenigs)
 
 # closed-form flows for the three model generators
 CLOSED_FORMS = {
@@ -130,6 +131,107 @@ def test_classification_corpus(src):
 def test_classification_is_cached():
     gen = _gen("-z")
     assert classify(gen) is classify(gen)
+
+
+def _scalar_newton_zero(gen, seed):
+    """The one-seed damped Newton loop that _newton_zeros batches: the
+    reference its results must equal bit for bit."""
+    z = complex(seed)
+    try:
+        fz = abs(gen.G(z))
+    except expr.EvalDomainError:
+        fz = math.inf
+    for _ in range(60):
+        try:
+            g = gen.G(z)
+            dg = gen.dG(z)
+        except expr.EvalDomainError:
+            return None
+        if abs(dg) == 0.0:
+            return None
+        step = g / dg
+        lam = 1.0
+        for _ in range(30):
+            cand = z - lam * step
+            try:
+                fc = abs(gen.G(cand))
+            except expr.EvalDomainError:
+                fc = math.inf
+            if fc < fz:
+                z, fz = cand, fc
+                break
+            lam *= 0.5
+        else:
+            break
+        if fz < 1e-14:
+            return z
+    return z if fz < 1e-10 else None
+
+
+def _conjugate(src, alpha):
+    """conj(c) G(cz) for c = e^{i alpha}, in the benchmark's number format."""
+    def num(w):
+        return "(%.17f%s%.17f*i)" % (w.real, "+" if w.imag >= 0 else "-",
+                                     abs(w.imag))
+    c = cmath.exp(1j * alpha)
+    return "%s*(%s)" % (num(c.conjugate()), src.replace("z", "(%s*z)" % num(c)))
+
+
+# the corpus at alpha = 0, 0.3 and 1.1, and inputs with poles, branch points
+# and repelling fixed points
+NEWTON_GENERATORS = sorted(GENERATOR_CORPUS) + [
+    _conjugate(src, alpha) for src in sorted(GENERATOR_CORPUS)
+    for alpha in (0.3, 1.1)] + [
+    "1/(z-0.5)", "sqrt(z)", "z*sqrt(z)", "log(1+z)", "sqrt(z+0.5)-1"]
+
+
+def _hex(z):
+    return None if z is None else (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("src", NEWTON_GENERATORS)
+def test_batched_newton_equals_scalar_loop(src, monkeypatch):
+    # every seed classify starts from, interior and boundary, gives the
+    # scalar loop's zero to the bit, or None where it gives None
+    gen = _gen(src)
+    batched, seen = semigroup._newton_zeros, []
+    monkeypatch.setattr(semigroup, "_newton_zeros",
+                        lambda g, seeds: seen.append(seeds) or batched(g, seeds))
+    try:
+        classify(gen)
+    except (ClassificationError, expr.EvalDomainError):
+        pass
+    assert seen
+    for seeds in seen:
+        got = [_hex(z) for z in batched(gen, seeds)]
+        assert got == [_hex(_scalar_newton_zero(gen, s)) for s in seeds]
+
+
+@pytest.mark.parametrize("src,kind,message", [
+    ("sqrt(z)", "EvalDomainError", "expression not finite at 0j"),
+    ("log(1+z)", "ClassificationError", "interior fixed point is repelling"),
+    ("z*sqrt(z)", "ClassificationError", "interior fixed point is repelling"),
+])
+def test_classify_error_documents(src, kind, message, capsys):
+    code = cli.main(["classify", "--generator", src])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"] == {"exit_code": 3, "type": kind, "message": message}
+
+
+@pytest.mark.parametrize("src", ["-z*(1+z)/(1-z)", "(1-z)^2", "z^2-1"])
+def test_classify_evaluates_in_batches(src, monkeypatch):
+    # a host-independent guard on the batched Newton: a per-seed loop makes
+    # thousands of one-point calls here (2,837 / 8,368 / 2,601)
+    calls = []
+    evaluate_array = expr.evaluate_array
+    monkeypatch.setattr(expr, "evaluate_array",
+                        lambda e, z: calls.append(1) or evaluate_array(e, z))
+    try:
+        classify(_gen(_conjugate(src, 0.3)))
+    except ClassificationError:   # rotated (1-z)^2: a known boundary defect
+        pass
+    assert len(calls) <= 400
 
 
 # ---------------------------------------------------------------------------

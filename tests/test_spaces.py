@@ -1,11 +1,13 @@
 """Seminorms, vanishing verdicts, weights, Garsia integrals, conditions."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from holoflow import spaces
+from holoflow import expr, spaces
 from holoflow.expr import FunctionHandle
 from holoflow.hypgeo import Arc, GeodesicBox, one_minus_abs_sq, phi
 from holoflow.semigroup import Generator
@@ -163,8 +165,10 @@ def _box_family_per_ring(fp, J, fracs=(1.0, 0.75)):
 
 
 def test_box_family_gather_equals_per_ring_loop():
-    # the gathered family adds the rings in the same order: equal bits
-    for src, J in ((F_LOG, 6), (F_LOGHALF, 9), ("(0.5 - z)/(1 - 0.5*z)", 3)):
+    # the gathered family adds the rings in the same order: equal bits; at
+    # J = 12 several ring blocks and column blocks run on the pool
+    for src, J in ((F_LOG, 6), (F_LOGHALF, 9), ("(0.5 - z)/(1 - 0.5*z)", 3),
+                   (F_LOG, 12)):
         f = FunctionHandle.from_source(src)
         got = spaces._box_average_family(f, Weight.unit(), J)
         ref = _box_family_per_ring(f.der, J)
@@ -173,6 +177,39 @@ def test_box_family_gather_equals_per_ring_loop():
             assert (j, length) == (rj, rl)
             assert np.array_equal(centers, rc)
             assert np.array_equal(avgs, ravgs), (src, j, length)
+
+
+def _same_family(a, b):
+    return all(x[:2] == y[:2] and np.array_equal(x[2], y[2])
+               and x[3].tobytes() == y[3].tobytes() for x, y in zip(a, b)) \
+        and len(a) == len(b)
+
+
+def test_box_family_single_worker_pool_gives_the_same_bytes(monkeypatch):
+    f = FunctionHandle.from_source(F_LOG)
+    default = spaces._box_average_family(f, Weight.log(), 12)
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(expr, "_POOL", pool)
+        single = spaces._box_average_family(f, Weight.log(), 12)
+    assert _same_family(single, default)
+
+
+def test_box_family_block_exception_reaches_the_caller():
+    threads = []
+
+    class Faulty(np.ndarray):
+        # a density whose ring blocks past the first fail when read
+        def __getitem__(self, key):
+            if isinstance(key, slice) and key.start:
+                threads.append(threading.current_thread())
+                raise RuntimeError("ring block failed")
+            return super().__getitem__(key)
+
+    fv, fp = FunctionHandle.from_source(F_LOG)
+    with pytest.raises(RuntimeError, match="ring block failed"):
+        spaces._box_average_family((fv, lambda z: fp(z).view(Faulty)),
+                                   Weight.unit(), 8)
+    assert threads and threading.main_thread() not in threads  # on the pool
 
 
 def test_vmoa_verdicts():
@@ -203,6 +240,29 @@ def garsia_quantity(f, a_values):
     sq = lambda z: np.abs(fp(z)) ** 2
     hot = [float(np.angle(ai)) for ai in a if ai != 0]
     return spaces.GarsiaIntegrator(sq, spaces._density_hot_angles(sq) + hot)(a)
+
+
+def test_garsia_chunked_kernel_equals_full_array_expression():
+    # the grid is not a whole number of 2^14-point chunks
+    sq = lambda z: np.abs(FunctionHandle.from_source(F_LOG).der(z)) ** 2
+    integ = spaces.GarsiaIntegrator(sq, [0.3, 2.0])
+    assert integ._z.size % expr._CHUNK != 0 and integ._z.size > expr._CHUNK
+    a = np.array([0.0, 0.5, 0.7j, 0.99 * np.exp(0.3j), -0.999999 + 0.0001j])
+    want = [(1.0 - abs(ai) ** 2) / np.abs(1.0 - ai.conjugate() * integ._z) ** 2
+            for ai in a]
+    values = [float(integ._base @ k) for k in want]
+    assert integ(a).tobytes() == np.array(values).tobytes()
+
+    kernels = []
+
+    class Recorder:
+        def __matmul__(self, kernel):
+            kernels.append(kernel.copy())
+            return 0.0
+
+    integ._base = Recorder()
+    integ(a)
+    assert [k.tobytes() for k in kernels] == [k.tobytes() for k in want]
 
 
 def _garsia_series_oracle(a, terms=4000):

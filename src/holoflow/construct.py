@@ -368,11 +368,13 @@ def _gl(n):
     return [mp.mpf(v) for v in x], [mp.mpf(v) for v in w]
 
 
-def _mp_ring(density, center, half, gap, weight, xv, wv):
+def _mp_ring(density, half, gap, weight, xv, wv):
     """Radial weight times int density dm over the ring section
-    |theta - center| <= half at gap, per unit radial width.  The angle
-    phi = gap sinh(v) clusters the nodes at the center, which resolves
-    peaks there at any scale >= the gap."""
+    |theta| <= half at gap, per unit radial width.  The angle
+    phi = gap sinh(v) clusters the nodes at 0, which resolves peaks there
+    at any scale >= the gap.  The density must be even in the angle, to the
+    bit: each node pair +-phi costs one call, density(phi, gap), counted
+    twice."""
     V = mp.asinh(half / gap)
     mid_v, half_v = V / 2, V / 2
     ring = mp.mpf(0)
@@ -380,14 +382,15 @@ def _mp_ring(density, center, half, gap, weight, xv, wv):
         v = mid_v + half_v * x
         phi = gap * mp.sinh(v)
         jac = gap * mp.cosh(v) * half_v * w
-        ring += jac * (density(center + phi, gap) + density(center - phi, gap))
+        d = density(phi, gap)
+        ring += jac * (d + d)
     return weight * ring * (1 - gap) / mp.pi
 
 
 def mp_disc_integral(density):
-    """int density dm for densities peaked at angle 0 (sinh-clustered):
-    41 dyadic gap panels, the last one reaching the boundary, with 4 gap
-    and 10 angular nodes each."""
+    """int density dm for densities peaked at angle 0 (sinh-clustered) and
+    even in the angle (_mp_ring): 41 dyadic gap panels, the last one
+    reaching the boundary, with 4 gap and 10 angular nodes each."""
     xg, wg = _gl(4)
     xv, wv = _gl(10)
     total = mp.mpf(0)
@@ -397,20 +400,22 @@ def mp_disc_integral(density):
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         for x, w in zip(xg, wg):
             gap = mid + half * x
-            total += _mp_ring(density, 0, mp.pi, gap, half * w, xv, wv)
+            total += _mp_ring(density, mp.pi, gap, half * w, xv, wv)
     return total
 
 
-def mp_box_average(density, theta_c, length):
-    """(1/|I|) int_{S(I)} density dm over the geodesic box of the arc.
+def mp_box_average(density, length):
+    """(1/|I|) int_{S(I)} density dm over the geodesic box of the arc of
+    normalized length < 0.4 centred at angle 0.
 
     Radial: a u^2 substitution on the outermost panel (the section width has
     a sqrt kink at the closest point), then 22 dyadic gap panels, 4 nodes
     each.  Angular: 8 nodes in phi = gap sinh(v), which resolves densities
-    peaked at the arc center at any scale >= the ring gap.  Requires
-    normalized length < 0.4.
+    peaked at the arc center at any scale >= the ring gap.  The density must
+    be even in the angle, to the bit (_mp_ring); every density the
+    constructions pass is, since their blocks sit at angle 0.
     """
-    theta_c, length = mp.mpf(theta_c), mp.mpf(length)
+    length = mp.mpf(length)
     if length >= mp.mpf("0.4"):
         raise ValueError("mp_box_average expects arcs of length < 0.4")
     gmax = _box_gap_max(length)
@@ -431,7 +436,7 @@ def mp_box_average(density, theta_c, length):
     for gap, weight in nodes:
         half = _box_halfwidth(gap, length)
         if half is not None and half > 0:
-            total += _mp_ring(density, theta_c, half, gap, weight, xv, wv)
+            total += _mp_ring(density, half, gap, weight, xv, wv)
     return total / length
 
 
@@ -553,7 +558,7 @@ def _box_nodes(lell):
 
 
 def _log_box_average(log_density, lell):
-    """Float log of mp_box_average(density, 0, e^lell)."""
+    """Float log of mp_box_average(density, e^lell)."""
     pts, lw = _box_nodes(lell)
     terms = lw + log_density(pts)
     top = np.max(terms)
@@ -593,6 +598,17 @@ def _rivals(lvs):
 STATE_VERSION = 1
 
 
+def _F_parts(blocks, theta, gap, beta):
+    """(Re, Im) of F = 1 + sum_k a_k beta_k at (theta, gap) for the blocks
+    (a_k, theta_k, gap_k, gap_star_k); beta is _beta_mp or a memo of it."""
+    re, im = mp.mpf(1), mp.mpf(0)
+    for a, tw, gw, gs in blocks:
+        b = beta(tw, gw, gs, theta, gap)
+        re += a * b.real
+        im += a * b.imag
+    return re, im
+
+
 @dataclass
 class ConstructionState:
     mode: str                     # "bmoa" | "bloch"
@@ -611,17 +627,10 @@ class ConstructionState:
 
     def re_F(self, theta, gap):
         """Re F_n(z) in extended precision (F_0 = 1)."""
-        out = mp.mpf(1)
-        for a, tw, gw, gs in self.blocks():
-            out += a * _beta_mp(tw, gw, gs, theta, gap).real
-        return out
+        return _F_parts(self.blocks(), theta, gap, _beta_mp)[0]
 
     def abs_F_sq(self, theta, gap):
-        re, im = mp.mpf(1), mp.mpf(0)
-        for a, tw, gw, gs in self.blocks():
-            b = _beta_mp(tw, gw, gs, theta, gap)
-            re += a * b.real
-            im += a * b.imag
+        re, im = _F_parts(self.blocks(), theta, gap, _beta_mp)
         return re * re + im * im
 
     def log_abs_F_sq(self, p):
@@ -725,7 +734,7 @@ def _largest_admissible_length(dens, start_length, bound):
     that average above bound, mp decides the whole scan.
     """
     exact = functools.lru_cache(maxsize=None)(
-        lambda ell: mp_box_average(dens.mp, 0, ell))
+        lambda ell: mp_box_average(dens.mp, ell))
     best = _admissible_scan(
         lambda ell: _decided(_log_box_average(dens.log, _log(ell)),
                              lambda: exact(ell), bound, bound / 2),
@@ -780,14 +789,24 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
                               DEFAULT_TOL_C)
     with mp.workprec(bits):
         s2, ls2 = mp.mpf(scale_sq), math.log(scale_sq)
+        # one mp value per distinct node (mpf keys compare by value), for
+        # this build only: the boxes of the searches, (d) and cert2 share
+        # nodes, and every density has a base factor and a beta factor per
+        # block there
+        base = functools.cache(lambda t, g: s2 * symbol.base_density(t, g))
+        beta = functools.cache(_beta_mp)
 
-        def base(theta, gap):
-            return s2 * symbol.base_density(theta, gap)
+        def F_parts(t, g):
+            return _F_parts(state.blocks(), t, g, beta)
+
+        def abs_F_sq_density(t, g):
+            re, im = F_parts(t, g)
+            return (re * re + im * im) * base(t, g)
 
         def beta_density(gw, gsw):
             lr, lrs = _log(gw), _log(gsw)
             return _Density(
-                lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real ** 2
+                lambda t, g: (beta(mp.mpf(0), gw, gsw, t, g).real ** 2
                               * base(t, g)),
                 lambda p: (2 * np.log(_beta_float(lr, lrs, p)[0]) + ls2
                            + symbol.log_density(p)))
@@ -795,12 +814,12 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
         def block_average(gw, gsw):
             dens, ell = beta_density(gw, gsw), _arc_length_of(gw)
             return (_log_box_average(dens.log, _log(ell)),
-                    lambda: mp_box_average(dens.mp, 0, ell))
+                    lambda: mp_box_average(dens.mp, ell))
 
         delta_prev = mp.mpf("0.125")
         for n in range(1, n_max + 1):
             dens_F = _Density(
-                lambda t, g: state.abs_F_sq(t, g) * base(t, g),
+                abs_F_sq_density,
                 lambda p: (state.log_abs_F_sq(p) + ls2
                            + symbol.log_density(p)))
             delta = _largest_admissible_length(dens_F, delta_prev, mp.mpf(1))
@@ -837,7 +856,7 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
             for i in _rivals(lvs + [_log(avg_w)]):
                 if i == len(cands):
                     continue                  # ell_w, already in mp
-                v = mp_box_average(dens_beta.mp, 0, cands[i])
+                v = mp_box_average(dens_beta.mp, cands[i])
                 if v > best_avg:
                     best_avg, best_len = v, cands[i]
             M = mp.sqrt(best_avg)
@@ -853,8 +872,8 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
             state.n = n
 
             # certify property (2) with the full F_n
-            dens_Fn = lambda t, g: state.re_F(t, g) ** 2 * base(t, g)
-            cert2 = mp_box_average(dens_Fn, 0, best_len)
+            dens_Fn = lambda t, g: F_parts(t, g)[0] ** 2 * base(t, g)
+            cert2 = mp_box_average(dens_Fn, best_len)
             if cert2 < 1 - DEFAULT_TOL_C:
                 raise AssertionError(
                     "property (2) certification failed at step %d: %s"

@@ -191,8 +191,9 @@ def _box_value(box, density, depth):
 def box_integral(box, density):
     """Integral of density over S(I) (clipped at the eps_min annulus).
 
-    A reference implementation: the tests check the extended-precision box
-    average (construct.mp_box_average) against it.  No CLI command runs it.
+    A reference implementation that no CLI command runs: the tests check
+    the extended-precision box average construct.mp_box_average(density,
+    length), whose arcs are centred at angle 0, against it.
     """
     if not isinstance(box, GeodesicBox):
         raise TypeError("box must be a GeodesicBox")

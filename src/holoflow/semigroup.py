@@ -1,8 +1,8 @@
 """Generators, Berkson-Porta construction, classification, flows, Koenigs map.
 
 A Generator wraps the holomorphic vector field G driving the Cauchy problem
-dw/dt = G(w), w(0) = z, together with optional Berkson-Porta data (tau, p)
-with G(z) = (z - tau)(conj(tau) z - 1) p(z), Re p >= 0.  Classification finds
+dw/dt = G(w), w(0) = z, together with the optional Berkson-Porta point tau
+of G(z) = (z - tau)(conj(tau) z - 1) p(z), Re p >= 0.  Classification finds
 the Denjoy-Wolff point and the spectral value; the flow integrates the ODE
 with the variational equation dJ/dt = G'(w) J carried alongside.
 """
@@ -66,7 +66,6 @@ class Generator:
 
     G: _expr.HoloExpr
     bp_tau: complex | None = None
-    bp_p: _expr.HoloExpr | None = None
     _dG: _expr.HoloExpr | None = field(default=None, repr=False)
     _classification: Classification | None = field(default=None, repr=False)
 
@@ -101,7 +100,7 @@ def berkson_porta(tau, p) -> Generator:
                                  % low)
     G = mul(mul(sub(Var(), Const(tau)),
                 sub(mul(Const(tau.conjugate()), Var()), Const(1.0))), p)
-    return Generator(G, bp_tau=tau, bp_p=p)
+    return Generator(G, bp_tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +161,19 @@ def _boundary_lambda(gen, tau):
     """Spectral value at a boundary Denjoy-Wolff point from radial samples.
 
     Samples f(r) = Re(conj(tau) G(r tau)) / (1 - r) along the dyadic radius
-    schedule and Richardson-extrapolates the last pair.
+    schedule, with one evaluation of G, skipping radii where G or f is not
+    finite, and Richardson-extrapolates the last pair.  r tau and the real
+    part follow CPython's complex arithmetic: the bits of a scalar loop.
     """
-    samples = []
-    for j, r in radial_schedule():
-        try:
-            v = (tau.conjugate() * gen.G(r * tau)).real / (1.0 - r)
-        except _expr.EvalDomainError:
-            continue
-        if math.isfinite(v):
-            samples.append((r, v))
+    r = np.array([r for _, r in radial_schedule()])
+    z = np.empty(r.size, dtype=complex)
+    z.real = r * tau.real - 0.0 * tau.imag
+    z.imag = r * tau.imag + 0.0 * tau.real
+    g = _expr.evaluate_array(gen.G, z)
+    with np.errstate(all="ignore"):
+        v = (tau.real * g.real - (-tau.imag) * g.imag) / (1.0 - r)
+    keep = np.isfinite(g) & np.isfinite(v)
+    samples = [(float(rk), float(vk)) for rk, vk in zip(r[keep], v[keep])]
     if len(samples) < 4:
         raise ClassificationError("boundary spectral-value analysis failed")
     mags = [(r, abs(v)) for r, v in samples]

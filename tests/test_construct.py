@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -90,7 +91,7 @@ def test_mp_disc_integral_oracle():
 @pytest.mark.parametrize("length", [0.25, 0.05, 0.003])
 def test_mp_box_average_matches_float_quadrature(length):
     with mp.workprec(256):
-        mp_avg = float(mp_box_average(lambda t, g: g * (2 - g), 0, length))
+        mp_avg = float(mp_box_average(lambda t, g: g * (2 - g), length))
     box = box_of(Arc(0.0, length))
     ref = box_integral(box, lambda z: 1 - np.abs(z) ** 2) / length
     assert mp_avg == pytest.approx(ref, rel=1e-5)
@@ -128,8 +129,119 @@ def test_mp_box_average_resolves_peaked_density():
         def dens(t, g):
             omz = construct._one_minus_z(t, g)
             return g * (2 - g) / abs(omz) ** 2
-        mp_avg = float(mp_box_average(dens, 0, mp.mpf(length)))
+        mp_avg = float(mp_box_average(dens, mp.mpf(length)))
     assert mp_avg == pytest.approx(ref, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the mirrored-node fold: one density call per node pair +-phi
+# ---------------------------------------------------------------------------
+
+def _build_densities(symbol):
+    """Every density family build_bmoa passes to the mp quadratures, up to
+    its constant scale: the symbol density, (Re beta)^2 base for blocks at
+    gaps 2^-24, 2^-1280 and 2^-20496, and |F|^2 base and (Re F)^2 base for
+    F built from those three blocks.  Call at the working precision."""
+    base = symbol.base_density
+    state = ConstructionState("bmoa", symbol.name, mp.mp.prec, 1.0, 0.05)
+    out = {"base": base}
+    for a, e in ((0.4, 24), (0.2, 1280), (0.1, 20496)):
+        gap = mp.mpf(2) ** -e
+        gs = construct._midpoint_gap(gap)
+        state.steps.append({"a": mp.mpf(a), "theta": mp.mpf(0), "gap": gap,
+                            "gap_star": gs})
+        out["beta_%d" % e] = (
+            lambda t, g, gap=gap, gs=gs:
+            construct._beta_mp(mp.mpf(0), gap, gs, t, g).real ** 2
+            * base(t, g))
+    out["abs_F_sq"] = lambda t, g: state.abs_F_sq(t, g) * base(t, g)
+    out["re_F_sq"] = lambda t, g: state.re_F(t, g) ** 2 * base(t, g)
+    return out
+
+
+def _seeded_nodes(seed, count):
+    """(phi, gap) with gaps 2^-e u down to 2^-20496 and angles distributed
+    like the sinh-clustered ring nodes, from 0 to pi."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = rng.choice((0, 1, 3, 11, 24, 60, 168, 1280, 1292, 20496))
+        gap = mp.mpf(rng.uniform(0.25, 0.5)) * mp.mpf(2) ** -e
+        v = mp.mpf(rng.random()) * mp.asinh(mp.pi / gap)
+        yield min(gap * mp.sinh(v), mp.pi), gap
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("symbol", [LOG_HALF_SYMBOL, LINEAR_SYMBOL])
+def test_build_densities_are_bitwise_even_in_the_angle(bits, symbol):
+    with mp.workprec(bits):
+        families = _build_densities(symbol)
+        for phi, gap in _seeded_nodes(bits, 40):
+            for name, dens in families.items():
+                assert dens(phi, gap) == dens(-phi, gap), (name, phi, gap)
+
+
+def _unfolded_ring(density, center, half, gap, weight, xv, wv):
+    V = mp.asinh(half / gap)
+    mid_v, half_v = V / 2, V / 2
+    ring = mp.mpf(0)
+    for x, w in zip(xv, wv):
+        v = mid_v + half_v * x
+        phi = gap * mp.sinh(v)
+        jac = gap * mp.cosh(v) * half_v * w
+        ring += jac * (density(center + phi, gap) + density(center - phi, gap))
+    return weight * ring * (1 - gap) / mp.pi
+
+
+def _unfolded_disc_integral(density):
+    xg, wg = construct._gl(4)
+    xv, wv = construct._gl(10)
+    total = mp.mpf(0)
+    for k in range(41):
+        lo = mp.mpf(2) ** (-k - 1) if k < 40 else mp.mpf(0)
+        hi = mp.mpf(2) ** (-k)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        for x, w in zip(xg, wg):
+            gap = mid + half * x
+            total += _unfolded_ring(density, 0, mp.pi, gap, half * w, xv, wv)
+    return total
+
+
+def _unfolded_box_average(density, theta_c, length):
+    theta_c, length = mp.mpf(theta_c), mp.mpf(length)
+    gmax = construct._box_gap_max(length)
+    xg, wg = construct._gl(4)
+    xv, wv = construct._gl(8)
+    umax = mp.sqrt(gmax / 2)
+    nodes = []
+    for x, w in zip(xg, wg):
+        u = umax / 2 + (umax / 2) * x
+        nodes.append((gmax - u * u, (umax / 2) * w * 2 * u))
+    for k in range(1, 23):
+        lo, hi = gmax / 2 ** (k + 1), gmax / 2 ** k
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        nodes += [(mid + half * x, half * w) for x, w in zip(xg, wg)]
+    total = mp.mpf(0)
+    for gap, weight in nodes:
+        half = construct._box_halfwidth(gap, length)
+        if half is not None and half > 0:
+            total += _unfolded_ring(density, theta_c, half, gap, weight,
+                                    xv, wv)
+    return total / length
+
+
+def test_folded_quadratures_equal_the_unfolded_sums():
+    # the mp quadratures as they were, with both nodes of each pair
+    # evaluated, against the folded ones: the same bits
+    with mp.workprec(256):
+        for symbol in (LOG_HALF_SYMBOL, LINEAR_SYMBOL):
+            assert mp_disc_integral(symbol.base_density) == \
+                _unfolded_disc_integral(symbol.base_density)
+        families = _build_densities(LOG_HALF_SYMBOL)
+        for name, ell in (("beta_24", construct._arc_length_of(
+                              mp.mpf(2) ** -24)),
+                          ("abs_F_sq", mp.mpf(2) ** -40)):
+            assert mp_box_average(families[name], ell) == \
+                _unfolded_box_average(families[name], 0, ell), name
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +319,7 @@ def test_float_engine_box_average_matches_mp(e):
             return (2 * np.log(construct._beta_float(lr, lrs, p)[0])
                     + LOG_HALF_SYMBOL.log_density(p))
 
-        ref = construct._log(mp_box_average(dens, 0, ell))
+        ref = construct._log(mp_box_average(dens, ell))
         lv = construct._log_box_average(log_dens, construct._log(ell))
     assert math.exp(lv - ref) == pytest.approx(1.0, rel=1e-9)
 
@@ -230,9 +342,9 @@ def test_float_value_at_a_threshold_is_decided_in_mp(monkeypatch, lv):
     exact = []
     real_box_average = construct.mp_box_average
 
-    def counted(density, theta_c, length):
+    def counted(density, length):
         exact.append(length)
-        return real_box_average(density, theta_c, length)
+        return real_box_average(density, length)
 
     monkeypatch.setattr(construct, "_log_box_average", lambda *a: lv)
     monkeypatch.setattr(construct, "mp_box_average", counted)
@@ -367,6 +479,29 @@ def test_state_json_golden_hashes(bloch_states):
     assert _sha(build_bmoa(n_max=1, bits=256)) == \
         GOLDEN_STATE_SHA256["bmoa_1"]
     assert _sha(bloch_states[256]) == GOLDEN_STATE_SHA256["bloch_4"]
+
+
+def test_build_node_memo_lives_for_one_build(monkeypatch):
+    # within a build every block and base value is computed once per
+    # distinct node; a second build computes them all again, so nothing
+    # is cached across calls
+    beta_args, base_args = [], []
+    beta_mp = construct._beta_mp
+    base_density = type(LOG_HALF_SYMBOL).base_density
+    monkeypatch.setattr(construct, "_beta_mp",
+                        lambda *a: beta_args.append(a) or beta_mp(*a))
+    monkeypatch.setattr(type(LOG_HALF_SYMBOL), "base_density",
+                        lambda self, t, g: base_args.append((t, g))
+                        or base_density(self, t, g))
+    counts = []
+    for _ in range(2):
+        beta_args.clear()
+        base_args.clear()
+        build_bmoa(n_max=1, bits=256)
+        assert len(set(beta_args)) == len(beta_args) > 0
+        assert len(set(base_args)) == len(base_args) > 0
+        counts.append((len(beta_args), len(base_args)))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("bits", [0, 16, -5, 4097, 256.0, True])

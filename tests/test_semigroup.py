@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from holoflow import cli, expr, semigroup
+from holoflow import cli, expr, quad, semigroup
 from holoflow.hypgeo import hyp_dist
 from holoflow.semigroup import (AdmissibilityError, ClassificationError,
                                 Generator, berkson_porta, classify, flow,
@@ -205,6 +205,70 @@ def test_batched_newton_equals_scalar_loop(src, monkeypatch):
     for seeds in seen:
         got = [_hex(z) for z in batched(gen, seeds)]
         assert got == [_hex(_scalar_newton_zero(gen, s)) for s in seeds]
+
+
+def _scalar_boundary_lambda(gen, tau):
+    """The one-radius-at-a-time loop that _boundary_lambda batches: the
+    reference its lambda and verdict must equal bit for bit."""
+    samples = []
+    for _, r in quad.radial_schedule():
+        try:
+            v = (tau.conjugate() * gen.G(r * tau)).real / (1.0 - r)
+        except expr.EvalDomainError:
+            continue
+        if math.isfinite(v):
+            samples.append((r, v))
+    if len(samples) < 4:
+        raise ClassificationError("boundary spectral-value analysis failed")
+    verdict = quad.classify_sequence([(r, abs(v)) for r, v in samples])
+    if verdict.tag == "vanishes":
+        return 0.0, verdict
+    lam = 2.0 * samples[-1][1] - samples[-2][1]
+    if lam < -1e-9:
+        raise ClassificationError("negative boundary spectral value %r" % lam)
+    return max(lam, 0.0), verdict
+
+
+def _outcome(fn, *args):
+    """fn(*args) as (lambda hex, verdict), or the ClassificationError text."""
+    try:
+        lam, verdict = fn(*args)
+    except ClassificationError as exc:
+        return str(exc)
+    return lam.hex(), verdict
+
+
+@pytest.mark.parametrize("src", ["z^2-1", "(1-z)^2"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.1])
+def test_boundary_lambda_equals_scalar_loop(src, alpha, monkeypatch):
+    # every boundary point classify analyses, plus points next to it where
+    # G blows up or the samples do not settle
+    batched, taus = semigroup._boundary_lambda, []
+    monkeypatch.setattr(semigroup, "_boundary_lambda",
+                        lambda g, tau: taus.append(tau) or batched(g, tau))
+    gen = _gen(_conjugate(src, alpha))
+    try:
+        classify(gen)
+    except ClassificationError:   # rotated (1-z)^2: a known boundary defect
+        pass
+    assert taus
+    for tau in taus + [t * cmath.exp(1j * d) for t in taus[:1]
+                       for d in (1e-9, 0.5, math.pi)]:
+        assert _outcome(batched, gen, tau) == \
+            _outcome(_scalar_boundary_lambda, gen, tau)
+
+
+@pytest.mark.parametrize("src,tau", [("1/(z-0.96875)", 1.0 + 0.0j),
+                                     ("log(z+0.984375)", -1.0 + 0.0j),
+                                     ("-1/(z-0.96875*i)", 1.0j)])
+def test_boundary_lambda_skips_where_the_scalar_loop_skipped(src, tau):
+    # a pole or log singularity on a sampled radius: the scalar loop's
+    # EvalDomainError there becomes a non-finite sample, skipped the same
+    gen = _gen(src)
+    _, verdict = semigroup._boundary_lambda(gen, tau)
+    assert len(verdict.samples) == len(quad.radial_schedule()) - 1
+    assert _outcome(semigroup._boundary_lambda, gen, tau) == \
+        _outcome(_scalar_boundary_lambda, gen, tau)
 
 
 @pytest.mark.parametrize("src,kind,message", [

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from holoflow import expr, spaces
+from holoflow import expr, quad, spaces
 from holoflow.expr import FunctionHandle
 from holoflow.hypgeo import Arc, GeodesicBox, one_minus_abs_sq, phi
 from holoflow.semigroup import Generator
@@ -73,6 +73,48 @@ def test_bloch_mobius_invariance_within_two_percent():
                                              / (1 - np.conj(a) * z) ** 2)
             comp = bloch_seminorm((lambda z: fv(phi(a, z)), der)).value
             assert abs(comp - base) / base <= 0.02
+
+
+def _per_ring_bloch_seminorm(f, resolution):
+    """bloch_seminorm without its ring memo: every grid calls the sampler
+    on each of its rings.  The reference the memo must reproduce."""
+    sampler = spaces._bloch_sampler(f, Weight.unit())
+    history, best = [], None
+    for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
+        est = quad.grid_sup(sampler, ("disc",), res)
+        if best is None or est.value >= best.value:
+            best = est
+        history.append((res, best.value))
+    return best.value, best.argmax, history
+
+
+def _disc_rings(resolution):
+    """The bytes of every distinct ring of bloch_seminorm's nested grids."""
+    return {ring.tobytes()
+            for res in sorted(set(range(4, resolution + 1, 2)) | {resolution})
+            for ring in quad._disc_grid_points(res, quad.CONFIG.eps_min)}
+
+
+def test_bloch_ring_memo_matches_per_ring_evaluation():
+    from holoflow.construct import make_block
+    from holoflow.volterra import compose_apply
+    handles = [(FunctionHandle.from_source(F_LOG), 12),
+               (FunctionHandle.from_source(F_LOGHALF), 11),
+               (make_block(0.99)[1], 12),
+               # a flow integrates each ring as one system: still per ring
+               (compose_apply(Generator.from_source("-z"), 0.1, F_LOG), 9)]
+    for f, res in handles:
+        rep = bloch_seminorm(f, resolution=res)
+        assert (rep.value, rep.argmax, rep.history) == \
+            _per_ring_bloch_seminorm(f, res)
+
+
+def test_bloch_sampler_runs_once_per_distinct_ring():
+    fv, fp = FunctionHandle.from_source(F_LOG)
+    seen = []
+    bloch_seminorm((fv, lambda z: seen.append(z.tobytes()) or fp(z)))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == _disc_rings(12)
 
 
 def test_bloch_vanishing_verdicts():

@@ -913,9 +913,10 @@ def _certify_norm_control(state, symbol):
 
     norms = []
     for k in range(state.n + 1):
-        pair = (lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-                functools.partial(der, k=k))
-        norms.append(spaces.seminorm(pair, state.mode).value)
+        handle = FunctionHandle(
+            lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
+            functools.partial(der, k=k))
+        norms.append(spaces.seminorm(handle, state.mode).value)
     C_g = max(norms) * 1.01
     ok = all(norms[k] <= max(norms[k - 1] + 2.0 ** (-k) * C_g, C_g) * 1.10
              for k in range(1, len(norms)))

@@ -30,7 +30,6 @@ __all__ = [
     "evaluate",
     "evaluate_array",
     "differentiate",
-    "to_source",
 ]
 
 
@@ -60,9 +59,6 @@ class HoloExpr:
 
     def _d(self):
         raise NotImplementedError
-
-    def __repr__(self):
-        return "HoloExpr(%s)" % to_source(self)
 
     def __call__(self, z):
         return evaluate(self, z) if np.isscalar(z) else evaluate_array(self, z)
@@ -339,97 +335,18 @@ class FunctionHandle:
 
     @staticmethod
     def of(f) -> "FunctionHandle":
-        """Normalize a source string, HoloExpr, handle or (f, f') tuple."""
+        """Normalize a source string, HoloExpr or handle."""
         if isinstance(f, FunctionHandle):
             return f
         if isinstance(f, (str, HoloExpr)):
             return FunctionHandle.from_source(f)
-        if isinstance(f, tuple) and len(f) == 2:
-            return FunctionHandle(*f)
-        raise TypeError("expected expression, source, handle or (f, f') pair")
+        raise TypeError("expected expression, source or handle")
 
     def __call__(self, z):
         return self.val(z)
 
-    def __iter__(self):            # unpacks like the (f, f') tuples
+    def __iter__(self):            # unpacks as fv, fp = handle
         return iter((self.val, self.der))
-
-
-# ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-def _fmt_real(x):
-    if x == int(x) and abs(x) < 1e15:
-        return repr(int(x))
-    return repr(x)
-
-
-def _fmt_const(c):
-    if c.imag == 0:
-        x = c.real
-        return "(%s)" % _fmt_real(x) if x < 0 else _fmt_real(x)
-    if c.real == 0:
-        if c.imag == 1:
-            return "i"
-        if c.imag == -1:
-            return "(-i)"
-        return "(%s*i)" % _fmt_real(c.imag)
-    op = "+" if c.imag >= 0 else "-"
-    return "(%s%s%s*i)" % (_fmt_real(c.real), op, _fmt_real(abs(c.imag)))
-
-
-_PREC = {"add": 1, "mul": 2, "unary": 3, "pow": 4, "atom": 5}
-
-
-def _src(e):
-    # returns (text, precedence level)
-    if isinstance(e, Const):
-        if e.value == math.e:
-            return "e", _PREC["atom"]
-        return _fmt_const(e.value), _PREC["atom"]
-    if isinstance(e, Var):
-        return "z", _PREC["atom"]
-    if isinstance(e, Neg):
-        t, p = _src(e.a)
-        if p < _PREC["unary"]:
-            t = "(%s)" % t
-        return "-%s" % t, _PREC["unary"]
-    if isinstance(e, (Add, Sub)):
-        lt, lp = _src(e.a)
-        rt, rp = _src(e.b)
-        if lp < _PREC["add"]:
-            lt = "(%s)" % lt
-        # right operand of '-' binds tighter
-        need = _PREC["add"] + (1 if isinstance(e, Sub) else 0)
-        if rp < need:
-            rt = "(%s)" % rt
-        return "%s %s %s" % (lt, "+" if isinstance(e, Add) else "-", rt), _PREC["add"]
-    if isinstance(e, (Mul, Div)):
-        lt, lp = _src(e.a)
-        rt, rp = _src(e.b)
-        if lp < _PREC["mul"]:
-            lt = "(%s)" % lt
-        need = _PREC["mul"] + (1 if isinstance(e, Div) else 0)
-        if rp < need:
-            rt = "(%s)" % rt
-        return "%s%s%s" % (lt, "*" if isinstance(e, Mul) else "/", rt), _PREC["mul"]
-    if isinstance(e, Pow):
-        bt, bp = _src(e.a)
-        if bp < _PREC["atom"]:
-            bt = "(%s)" % bt
-        p = e.p
-        ps = _fmt_real(p) if p >= 0 else "(%s)" % _fmt_real(p)
-        return "%s^%s" % (bt, ps), _PREC["pow"]
-    for cls, name in ((Exp, "exp"), (Log, "log"), (Sqrt, "sqrt")):
-        if isinstance(e, cls):
-            return "%s(%s)" % (name, _src(e.a)[0]), _PREC["atom"]
-    raise TypeError("unknown node %r" % e)
-
-
-def to_source(expr):
-    """Canonical printed form; parse(to_source(e)) reproduces the values."""
-    return _src(expr)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -81,31 +81,18 @@ def _as_complex(p):
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """Disc automorphism z -> rot * (a - z) / (1 - conj(a) z).
-
-    rot = 1 gives the involution phi_a; rot = -1 gives the signed variant
-    sigma_a(z) = (z - a)/(1 - conj(a) z).
-    """
+    """The disc involution phi_a(z) = (a - z) / (1 - conj(a) z)."""
 
     a: complex
-    rot: complex = 1.0 + 0.0j
 
     @staticmethod
     def involution(a) -> "MobiusMap":
-        return MobiusMap(_as_complex(a), 1.0 + 0.0j)
-
-    @staticmethod
-    def signed(a) -> "MobiusMap":
-        return MobiusMap(_as_complex(a), -1.0 + 0.0j)
-
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(0.0 + 0.0j, -1.0 + 0.0j)
+        return MobiusMap(_as_complex(a))
 
     def __call__(self, z):
         a = complex(self.a)
         z = z if isinstance(z, np.ndarray) else complex(_as_complex(z))
-        return self.rot * (a - z) / (1.0 - a.conjugate() * z)
+        return (a - z) / (1.0 - a.conjugate() * z)
 
 
 def phi(a, z):

@@ -348,15 +348,10 @@ def radial_limit(sampler, slope_rule=False):
 def line_integral(f, z0, z1):
     """Integral of f along the straight segment [z0, z1].
 
-    f may be a HoloExpr or a vectorized callable.  Composite Gauss-Legendre
-    with panel doubling; relative tolerance ~1e-12 against the previous level.
+    f is a vectorized callable.  Composite Gauss-Legendre with panel
+    doubling; relative tolerance ~1e-12 against the previous level.
     """
     z0, z1 = complex(z0), complex(z1)
-    if isinstance(f, _expr.HoloExpr):
-        tree = f
-        func = lambda w: _expr.evaluate_array(tree, w)
-    else:
-        func = f
     direction = z1 - z0
     if direction == 0:
         return 0.0 + 0.0j
@@ -369,7 +364,7 @@ def line_integral(f, z0, z1):
         t = mids[:, None] + halves[:, None] * xg[None, :]
         w = halves[:, None] * wg[None, :]
         pts = z0 + t * direction
-        vals = np.asarray(func(pts.ravel()), dtype=complex).reshape(t.shape)
+        vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(t.shape)
         if not np.all(np.isfinite(vals)):
             raise _expr.EvalDomainError("pole or branch point on integration path")
         return complex(np.sum(vals * w)) * direction

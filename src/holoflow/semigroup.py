@@ -386,8 +386,7 @@ def koenigs(gen):
         return 1j / gen.G(z)
 
     def h_ne(z):
-        return line_integral(lambda w: 1j / _expr.evaluate_array(gen.G, w),
-                             0.0, complex(z))
+        return line_integral(hp_ne, 0.0, complex(z))
 
     return h_ne, hp_ne
 

@@ -224,6 +224,7 @@ N_GL = 4          # Gauss-Legendre nodes per dyadic annulus
 TAIL_DEPTH = 8    # annuli of the master grid beyond the finest arc octave
 VANISHING_J = 12  # finest arc octave 2^-J of bmoa_vanishing
 MAX_J = 20        # deepest accepted J: the finest octave has 2^(J+2) arcs
+FRACS = (1.0, 0.75)  # arc lengths per octave, as fractions of 2^-j
 
 
 def _master_grid(J):
@@ -238,13 +239,14 @@ def _master_grid(J):
     return r, wr * 2.0 * r, n_theta
 
 
-def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
+def _box_average_family(f, w, J):
     """Box averages of |f'|^2 (1-|z|^2) over the dyadic arc family.
 
-    Returns {j: (centers, averages)} for arcs of length 2^-j, j = 0..J, with
-    centers on the 2^(j+2)-point angular grid, each average already carrying
-    the 1/l normalization and the weight's arc factor.  f' is evaluated once
-    on the whole grid (Sarason's density is one ODE system over all points);
+    Returns a list of (j, length, centers, averages), j = 0..J, one entry per
+    arc length frac 2^-j, frac in FRACS, with centers on the 2^(j+2)-point
+    angular grid, each average already carrying the 1/l normalization and
+    the weight's arc factor.  f' is evaluated once on the whole grid
+    (Sarason's density is one ODE system over all points);
     the per-ring prefix sums, then each member's window sums over its rings
     in ring order, run on the pool in ~2^14-cell blocks of whole rings, then
     of columns: the bits do not depend on the blocks or the workers.
@@ -287,10 +289,8 @@ def _box_average_family(f, w, J, fracs=(1.0, 0.75)):
 
     out = []
     for j in range(J + 1):
-        for frac in fracs:
+        for frac in FRACS:
             length = frac * 2.0 ** (-j)
-            if length > 1.0:
-                continue
             n_c = 1 << (j + 2)
             centers = np.arange(n_c) * (2.0 * math.pi / n_c)
             box = GeodesicBox(Arc(0.0, length))
@@ -476,11 +476,7 @@ def logbloch_check(gen) -> ConditionReport:
 
 
 def _lvmo_verdict(gen):
-    cls = classify(gen)
-    if cls.kind == "elliptic":
-        _, gp = gamma_symbol(gen)
-    else:
-        gp = lambda z: 1j / _expr.evaluate_array(gen.G, z)
+    _, gp = gamma_symbol(gen)
     return _garsia_sweep(gp, lambda oms: (math.log(math.e / oms)) ** 2, 16)
 
 
@@ -544,18 +540,18 @@ def pommerenke_check(f, w: Weight) -> PommerenkeReport:
     along |a| = r over 8 angles.  If the hypothesis verdict is not
     "vanishes" the report records that and makes no contract claim.
     """
-    fv, fp = FunctionHandle.of(f)
-    if not _univalence_probe(fv):
+    f = FunctionHandle.of(f)
+    if not _univalence_probe(f.val):
         raise ValueError("collision probe failed: f is not univalent on grid")
     if weight_regularity(w) >= 1.0:
         raise ValueError("weight regularity constant must be < 1")
-    hyp = bloch_vanishing((fv, fp), w)
+    hyp = bloch_vanishing(f, w)
 
     def weight_sq(oms):
         om = float(w.from_oms(np.array([oms]))[0])
         return om * om
 
-    concl = _garsia_sweep(fp, weight_sq, 8)
+    concl = _garsia_sweep(f.der, weight_sq, 8)
     applies = hyp.tag == "vanishes"
     holds = (concl.tag == "vanishes") if applies else None
     return PommerenkeReport(True, hyp, concl, applies, holds)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as _expr
 from . import spaces
 from .expr import FunctionHandle
 from .quad import line_integral
@@ -102,12 +101,12 @@ def continuity_probe(gen, f, times, space="bmoa",
             or any(b >= a for a, b in zip(times, times[1:]))):
         raise ValueError("times must be 1 to 8 strictly decreasing values "
                          "in (0, 1]")
-    fv, fp = FunctionHandle.of(f)
+    f = FunctionHandle.of(f)
     values = []
     for t in times:
-        ct = compose_apply(gen, t, (fv, fp))
-        diff = (lambda z, c=ct: c.val(z) - fv(z),
-                lambda z, c=ct: c.der(z) - fp(z))
+        ct = compose_apply(gen, t, f)
+        diff = FunctionHandle(lambda z, c=ct: c.val(z) - f.val(z),
+                              lambda z, c=ct: c.der(z) - f.der(z))
         values.append(spaces.seminorm(diff, space, w).value)
     floor = min(values)
     decaying = all(b < a for a, b in zip(values, values[1:]))
@@ -134,17 +133,15 @@ class OperatorProbe:
     marker: str = "probe, not proof"
 
 
-def boundedness_probe(g, space="bmoa", w=Weight.unit()) -> OperatorProbe:
-    """Ratios ||T_g f|| / ||f|| over STANDARD_FAMILY at depths J = 5 and 9.
+def boundedness_probe(g_src, space="bmoa", w=Weight.unit()) -> OperatorProbe:
+    """Ratios ||T_g f|| / ||f|| over STANDARD_FAMILY at depths J = 5 and 9,
+    for the symbol g given by its source string.
 
     The denominator is the seminorm plus |f(0)| (the constant member has zero
     seminorm).  ratio_growth > 1 under refinement is the divergence signal;
     finite families give necessary evidence only.
     """
-    if isinstance(g, str):
-        g_src, g = g, _expr.parse(g)
-    else:
-        g_src = _expr.to_source(g) if isinstance(g, _expr.HoloExpr) else repr(g)
+    g = FunctionHandle.from_source(g_src)
     mnorms, inorms, ratios, growth = [], [], [], []
     for src in STANDARD_FAMILY:
         f = FunctionHandle.of(src)

@@ -34,18 +34,8 @@ def _eval(tree, z):
 
 
 # ---------------------------------------------------------------------------
-# parsing and printing
+# parsing and function handles
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("src", CORPUS)
-def test_print_parse_roundtrip_is_idempotent(src):
-    tree = expr.parse(src)
-    printed = expr.to_source(tree)
-    reparsed = expr.parse(printed)
-    assert expr.to_source(reparsed) == printed
-    for z in (0.0j, 0.3 + 0.2j, -0.5 - 0.1j):
-        assert _eval(tree, z) == pytest.approx(_eval(reparsed, z), abs=1e-15)
-
 
 @pytest.mark.parametrize("bad", ["z +", "(1 - z", "log()", "z^", "2 ** z",
                                  "unknown(z)", ""])
@@ -58,6 +48,41 @@ def test_parse_diagnostic_reports_offset():
     with pytest.raises(ParseDiagnostic) as exc:
         expr.parse("z + )")
     assert "offset" in str(exc.value)
+
+
+# each corpus source beside the same function written directly in numpy,
+# so precedence, unary minus and principal branches are checked by value
+FORMULAS = {
+    "1": lambda z: np.ones_like(z),
+    "z": lambda z: z,
+    "z^2": lambda z: z * z,
+    "-z": lambda z: -z,
+    "i*z": lambda z: 1j * z,
+    "(1 - z)^2": lambda z: (1 - z) * (1 - z),
+    "z^2 - 1": lambda z: z * z - 1,
+    "-z*(1 + z)/(1 - z)": lambda z: -(z * (1 + z)) / (1 - z),
+    "log(e/(1 - z))": lambda z: np.log(np.e / (1 - z)),
+    "(log(e/(1 - z)))^0.5": lambda z: np.sqrt(np.log(np.e / (1 - z))),
+    "(0.5 - z)/(1 - 0.5*z)": lambda z: (0.5 - z) / (1 - 0.5 * z),
+    "exp(-z)*(1 - 0.25*z^2)": lambda z: np.exp(-z) * (1 - 0.25 * z * z),
+}
+
+
+@pytest.mark.parametrize("src", CORPUS)
+def test_parse_matches_hand_written_formula(src):
+    rng = np.random.default_rng(11)
+    pts = 0.9 * np.sqrt(rng.uniform(0, 1, 64)) \
+        * np.exp(2j * np.pi * rng.uniform(0, 1, 64))
+    got = expr.evaluate_array(expr.parse(src), pts)
+    want = FORMULAS[src](pts)
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def test_handle_normalization_rejects_tuples():
+    fv, fp = expr.FunctionHandle.from_source("z^2")
+    assert expr.FunctionHandle.of(expr.FunctionHandle(fv, fp)).der is fp
+    with pytest.raises(TypeError):
+        expr.FunctionHandle.of((fv, fp))
 
 
 def test_constants_and_literals():

@@ -32,9 +32,11 @@ def test_isometry(a, x, y):
     assert abs(hyp_dist(m(x), m(y)) - hyp_dist(x, y)) <= 1e-10
 
 
-def test_signed_variant_is_negated_involution():
-    a, z = 0.4 + 0.2j, -0.3 + 0.5j
-    assert MobiusMap.signed(a)(z) == pytest.approx(-phi(a, z))
+def test_involution_swaps_a_and_the_origin():
+    for a in (0.4 + 0.2j, -0.7j, 0.95):
+        m = MobiusMap.involution(a)
+        assert abs(m(a)) <= 1e-15
+        assert m(0.0) == pytest.approx(a, abs=1e-15)
 
 
 def test_self_map_of_disc():

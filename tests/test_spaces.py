@@ -67,11 +67,12 @@ def test_bloch_seminorm_of_log_refines_toward_two():
 def test_bloch_mobius_invariance_within_two_percent():
     for src in (F_Z, F_LOG):
         fv, fp = FunctionHandle.from_source(src)
-        base = bloch_seminorm((fv, fp)).value
+        base = bloch_seminorm(FunctionHandle(fv, fp)).value
         for a in (0.5, 0.3 + 0.4j):
             der = lambda z: fp(phi(a, z)) * (-(1 - abs(a) ** 2)
                                              / (1 - np.conj(a) * z) ** 2)
-            comp = bloch_seminorm((lambda z: fv(phi(a, z)), der)).value
+            comp = bloch_seminorm(FunctionHandle(lambda z: fv(phi(a, z)),
+                                              der)).value
             assert abs(comp - base) / base <= 0.02
 
 
@@ -112,7 +113,8 @@ def test_bloch_ring_memo_matches_per_ring_evaluation():
 def test_bloch_sampler_runs_once_per_distinct_ring():
     fv, fp = FunctionHandle.from_source(F_LOG)
     seen = []
-    bloch_seminorm((fv, lambda z: seen.append(z.tobytes()) or fp(z)))
+    bloch_seminorm(FunctionHandle(
+        fv, lambda z: seen.append(z.tobytes()) or fp(z)))
     assert len(seen) == len(set(seen))
     assert set(seen) == _disc_rings(12)
 
@@ -249,8 +251,9 @@ def test_box_family_block_exception_reaches_the_caller():
 
     fv, fp = FunctionHandle.from_source(F_LOG)
     with pytest.raises(RuntimeError, match="ring block failed"):
-        spaces._box_average_family((fv, lambda z: fp(z).view(Faulty)),
-                                   Weight.unit(), 8)
+        spaces._box_average_family(
+            FunctionHandle(fv, lambda z: fp(z).view(Faulty)),
+            Weight.unit(), 8)
     assert threads and threading.main_thread() not in threads  # on the pool
 
 
@@ -329,9 +332,10 @@ def test_garsia_pointwise_mobius_identity():
     der = lambda z: fp(phi(b, z)) * (-(1 - abs(b) ** 2)
                                      / (1 - np.conj(b) * z) ** 2)
     for a in (0.0, 0.3, 0.5j):
-        lhs = float(garsia_quantity((lambda z: fv(phi(b, z)), der),
-                                    a_values=[a])[0])
-        rhs = float(garsia_quantity((fv, fp), a_values=[phi(b, a)])[0])
+        lhs = float(garsia_quantity(
+            FunctionHandle(lambda z: fv(phi(b, z)), der), a_values=[a])[0])
+        rhs = float(garsia_quantity(FunctionHandle(fv, fp),
+                                    a_values=[phi(b, a)])[0])
         assert lhs == pytest.approx(rhs, rel=0.05)
 
 

@@ -64,8 +64,9 @@ def test_operator_semigroup_law_pointwise():
     s, t = 0.4, 0.8
     cs = compose_apply(gen, s, f)
     cst = compose_apply(gen, s + t, f)
-    ct_of_cs = compose_apply(gen, t, (lambda z: np.atleast_1d(cs.val(z)),
-                                      lambda z: np.atleast_1d(cs.der(z))))
+    ct_of_cs = compose_apply(gen, t, FunctionHandle(
+        lambda z: np.atleast_1d(cs.val(z)),
+        lambda z: np.atleast_1d(cs.der(z))))
     for z in (0.2 + 0.3j, -0.4, 0.1j):
         a = complex(np.atleast_1d(ct_of_cs.val(z))[0])
         b = complex(np.atleast_1d(cst.val(z))[0])

@@ -44,18 +44,9 @@ from .expr import FunctionHandle
 from .hypgeo import Arc, DiscPoint, GeodesicBox, box_contains
 
 __all__ = [
-    "BlockParams",
-    "BlockReport",
-    "ConstructionState",
-    "ConstructionFailure",
-    "BlockPropertyError",
-    "default_bits",
-    "make_block",
-    "verify_block",
-    "build_bmoa",
-    "build_bloch",
-    "LOG_HALF_SYMBOL",
-    "LINEAR_SYMBOL",
+    "BlockParams", "BlockReport", "ConstructionState", "ConstructionFailure",
+    "BlockPropertyError", "default_bits", "make_block", "verify_block",
+    "build_bmoa", "build_bloch", "LOG_HALF_SYMBOL", "LINEAR_SYMBOL",
 ]
 
 C0 = 3.0                      # absolute bound for |beta_w| off S(I_{w*})
@@ -598,17 +589,6 @@ def _rivals(lvs):
 STATE_VERSION = 1
 
 
-def _F_parts(blocks, theta, gap, beta):
-    """(Re, Im) of F = 1 + sum_k a_k beta_k at (theta, gap) for the blocks
-    (a_k, theta_k, gap_k, gap_star_k); beta is _beta_mp or a memo of it."""
-    re, im = mp.mpf(1), mp.mpf(0)
-    for a, tw, gw, gs in blocks:
-        b = beta(tw, gw, gs, theta, gap)
-        re += a * b.real
-        im += a * b.imag
-    return re, im
-
-
 @dataclass
 class ConstructionState:
     mode: str                     # "bmoa" | "bloch"
@@ -619,18 +599,29 @@ class ConstructionState:
     n: int = 0
     steps: list = field(default_factory=list)   # per-step dicts (mp values)
     certifications: list = field(default_factory=list)
+    _memo = None        # while a build runs, its per-node memo of _beta_mp
 
     def blocks(self):
         """(a_k, theta_k, gap_k, gap_star_k) for k >= 1."""
         return [(s["a"], s["theta"], s["gap"], s["gap_star"])
                 for s in self.steps]
 
+    def _F_parts(self, theta, gap):
+        """(Re, Im) of F_n = 1 + sum_k a_k beta_k at (theta, gap)."""
+        beta = self._memo or _beta_mp
+        re, im = mp.mpf(1), mp.mpf(0)
+        for a, tw, gw, gs in self.blocks():
+            b = beta(tw, gw, gs, theta, gap)
+            re += a * b.real
+            im += a * b.imag
+        return re, im
+
     def re_F(self, theta, gap):
         """Re F_n(z) in extended precision (F_0 = 1)."""
-        return _F_parts(self.blocks(), theta, gap, _beta_mp)[0]
+        return self._F_parts(theta, gap)[0]
 
     def abs_F_sq(self, theta, gap):
-        re, im = _F_parts(self.blocks(), theta, gap, _beta_mp)
+        re, im = self._F_parts(theta, gap)
         return re * re + im * im
 
     def log_abs_F_sq(self, p):
@@ -661,30 +652,15 @@ class ConstructionState:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text) -> "ConstructionState":
-        doc = json.loads(text)
-        if doc["version"] != STATE_VERSION:
-            raise ValueError("unsupported state version %r" % doc["version"])
-        st = ConstructionState(doc["mode"], doc["symbol"], doc["bits"],
-                               float(doc["scale"]), doc["tol_c"], doc["n"])
-        st.steps = [{k: mp.mpf(v) for k, v in step.items()}
-                    for step in doc["steps"]]
-        st.certifications = doc["certifications"]
-        return st
-
 
 # ---------------------------------------------------------------------------
-# the BMOA construction
+# the witness recursion
 # ---------------------------------------------------------------------------
 
 def _bmoa_scale_sq(symbol, bits):
-    """1 / int |g'|^2 (1-|z|^2) dm, so the scaled symbol is normalized.
-
-    The corpus symbol has an integrable boundary peak at z = 1, so the
-    normalization is computed with the peak-aware extended-precision scheme
-    at the build's precision.
-    """
+    """1 / int |g'|^2 (1-|z|^2) dm at the build's precision, so the scaled
+    symbol is normalized; mp_disc_integral resolves the corpus symbol's
+    integrable boundary peak at z = 1."""
     with mp.workprec(bits):
         val = mp_disc_integral(symbol.base_density)
     return float(1 / val)
@@ -770,123 +746,91 @@ def _squaring_search(value_at, gap, target):
     return gap, None, None
 
 
-def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
-               bits=None) -> ConstructionState:
-    """Recursive witness construction: F with T_g F in BMOA minus VMOA.
+class _Space(NamedTuple):
+    """One space's side of _witness: densities are part^p * weight."""
+    mode: str                   # "bmoa" | "bloch"
+    p: int
+    scale: float                # recorded normalization factor on g
+    weight: Callable            # |g'|^p (1-|z|^2): (theta, gap) -> mpf
+    log_weight: Callable        # _Points -> float logs of the weight
+    region: Callable            # gap -> the region it names (arc, point)
+    value: Callable             # (mp density, region) -> mpf
+    log_value: Callable         # (float log density, log region) -> float
+    admissible: Callable        # (_Density, delta_{n-1}) -> delta_n
+    maximum: Callable           # (d) -> (M_n^p, region certifying (2))
+    failure: Callable           # (n, last gap) -> (reason, record)
+    step_keys: Callable         # certifying region -> step keys
+    cert_keys: Callable         # (cert2, value at w_n) -> certificate keys
+    cert_failure: str           # property (2) text % (n, cert2)
 
-    Per step n: (a) delta_n = largest sampled arc length with box averages of
-    |F_{n-1} g'|^2 (1-|z|^2) below 1; (b) delta'_n = min(delta_n,
-    (2^{-2n} delta_n)^2); (c) squaring search for w_n at the concentration
-    angle with the I_{w_n}-average of (Re beta)^2 |g'|^2 (1-|z|^2) >= 2^{2n};
-    (d) M_n^2 = max of those averages over sampled arcs of length <= delta_n;
-    (e) a_n = 1/M_n.  Invariants are certified at every step.
-    """
+
+def _witness(describe, symbol, n_max, bits) -> ConstructionState:
+    """Steps (a)-(e) of build_bmoa and build_bloch in the _Space
+    describe(bits), at bits, on |F_{n-1}|^p w for (a), (Re beta_n)^p w for
+    (c) and (d), and (Re F_n)^p w for property (2)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
     bits = _checked_bits(bits)
-    scale_sq = _bmoa_scale_sq(symbol, bits)
-    state = ConstructionState("bmoa", symbol.name, bits, math.sqrt(scale_sq),
-                              DEFAULT_TOL_C)
     with mp.workprec(bits):
-        s2, ls2 = mp.mpf(scale_sq), math.log(scale_sq)
-        # one mp value per distinct node (mpf keys compare by value), for
-        # this build only: the boxes of the searches, (d) and cert2 share
-        # nodes, and every density has a base factor and a beta factor per
-        # block there
-        base = functools.cache(lambda t, g: s2 * symbol.base_density(t, g))
-        beta = functools.cache(_beta_mp)
+        space = describe(bits)
+        p = space.p
+        state = ConstructionState(space.mode, symbol.name, bits, space.scale,
+                                  DEFAULT_TOL_C)
+        # one mp value per distinct node (mpf keys compare by value) for this
+        # build: the searches, (d) and property (2) share nodes
+        weight = functools.cache(space.weight)
+        state._memo = beta = functools.cache(_beta_mp)
 
-        def F_parts(t, g):
-            return _F_parts(state.blocks(), t, g, beta)
-
-        def abs_F_sq_density(t, g):
-            re, im = F_parts(t, g)
-            return (re * re + im * im) * base(t, g)
+        def density(part, log_part):
+            return _Density(lambda t, g: part(t, g) * weight(t, g),
+                            lambda pts: log_part(pts) + space.log_weight(pts))
 
         def beta_density(gw, gsw):
             lr, lrs = _log(gw), _log(gsw)
-            return _Density(
-                lambda t, g: (beta(mp.mpf(0), gw, gsw, t, g).real ** 2
-                              * base(t, g)),
-                lambda p: (2 * np.log(_beta_float(lr, lrs, p)[0]) + ls2
-                           + symbol.log_density(p)))
+            return density(
+                lambda t, g: beta(mp.mpf(0), gw, gsw, t, g).real ** p,
+                lambda pts: p * np.log(_beta_float(lr, lrs, pts)[0]))
 
-        def block_average(gw, gsw):
-            dens, ell = beta_density(gw, gsw), _arc_length_of(gw)
-            return (_log_box_average(dens.log, _log(ell)),
-                    lambda: mp_box_average(dens.mp, ell))
+        def block_value(gw, gsw):
+            dens, region = beta_density(gw, gsw), space.region(gw)
+            return (space.log_value(dens.log, _log(region)),
+                    lambda: space.value(dens.mp, region))
 
-        delta_prev = mp.mpf("0.125")
+        # |F|^2 ** (p/2): x ** 0.5 is sqrt(x) to the bit, sqrt(x) ** 2 is not x
+        dens_F = density(lambda t, g: state.abs_F_sq(t, g) ** (p / 2),
+                         lambda pts: state.log_abs_F_sq(pts) * (p / 2))
+        delta = mp.mpf("0.125")
         for n in range(1, n_max + 1):
-            dens_F = _Density(
-                abs_F_sq_density,
-                lambda p: (state.log_abs_F_sq(p) + ls2
-                           + symbol.log_density(p)))
-            delta = _largest_admissible_length(dens_F, delta_prev, mp.mpf(1))
+            delta = space.admissible(dens_F, delta)
             delta_p = min(delta, (delta / 2 ** (2 * n)) ** 2)
             if mp.sqrt(delta_p) > delta / 2 ** (2 * n):
                 raise AssertionError("delta'_n selection violated its bound")
-
-            # (c) candidate search: gaps by squaring within (0, delta'_n]
-            gap_w, gs, avg_w = _squaring_search(block_average, delta_p,
-                                                mp.mpf(2) ** (2 * n))
-            if avg_w is None:
-                raise ConstructionFailure(
-                    "divergence evidence insufficient at this precision "
-                    "(step %d: block averages plateaued below 2^%d)"
-                    % (n, 2 * n),
-                    {"step": n, "last_gap_exponent": mp.nstr(mp.log(gap_w, 2), 10)})
-            ell_w = _arc_length_of(gap_w)
-            dens_beta = beta_density(gap_w, gs)
-
-            # (d) maximize over sampled arcs of length <= delta_n: float
-            # ranks the arcs, mp compares the float argmax and its rivals
-            cands = {ell_w}
-            for j in range(1, 11):
-                if ell_w * 2 ** j <= delta:
-                    cands.add(ell_w * 2 ** j)
-            llo, lhi = mp.log(ell_w), mp.log(delta)
-            for i in range(1, 8):
-                cands.add(mp.exp(llo + (lhi - llo) * i / 8))
-            cands = [ell for ell in sorted(cands)
-                     if ell <= delta and ell != ell_w]
-            lvs = [_log_box_average(dens_beta.log, _log(ell))
-                   for ell in cands]
-            best_avg, best_len = avg_w, ell_w
-            for i in _rivals(lvs + [_log(avg_w)]):
-                if i == len(cands):
-                    continue                  # ell_w, already in mp
-                v = mp_box_average(dens_beta.mp, cands[i])
-                if v > best_avg:
-                    best_avg, best_len = v, cands[i]
-            M = mp.sqrt(best_avg)
+            gap_w, gs, v_w = _squaring_search(block_value, delta_p,
+                                              mp.mpf(2) ** (p * n))
+            if v_w is None:
+                reason, record = space.failure(n, gap_w)
+                raise ConstructionFailure("divergence evidence insufficient at"
+                                          " this precision " + reason, record)
+            best, region = space.maximum(beta_density(gap_w, gs),
+                                         space.region(gap_w), v_w, delta)
+            M = best ** (1 / p)               # ** 0.5 is sqrt, ** 1.0 is x
             a = 1 / M
             if a > mp.mpf(2) ** (-n):
                 raise AssertionError("coefficient bound a_n <= 2^-n violated")
-
             state.steps.append({"a": a, "theta": mp.mpf(0), "gap": gap_w,
                                 "gap_star": gs, "delta": delta,
                                 "delta_prime": delta_p, "M": M,
-                                "arc_center": mp.mpf(0),
-                                "arc_length": best_len})
+                                **space.step_keys(region)})
             state.n = n
-
-            # certify property (2) with the full F_n
-            dens_Fn = lambda t, g: F_parts(t, g)[0] ** 2 * base(t, g)
-            cert2 = mp_box_average(dens_Fn, best_len)
+            cert2 = space.value(
+                lambda t, g: state.re_F(t, g) ** p * weight(t, g), region)
             if cert2 < 1 - DEFAULT_TOL_C:
-                raise AssertionError(
-                    "property (2) certification failed at step %d: %s"
-                    % (n, mp.nstr(cert2, 10)))
+                raise AssertionError(space.cert_failure
+                                     % (n, mp.nstr(cert2, 10)))
             state.certifications.append({
-                "step": n,
-                "a_leq_2^-n": True,
-                "delta_prime_bound": True,
-                "property2_average": float(cert2),
-                "candidate_average": float(min(avg_w, mp.mpf(10) ** 300)),
-                "M": float(min(M, mp.mpf(10) ** 300)),
-            })
-            delta_prev = delta
+                "step": n, "a_leq_2^-n": True, **space.cert_keys(cert2, v_w),
+                "M": float(min(M, mp.mpf(10) ** 300))})
+        del state._memo
     _certify_norm_control(state, symbol)
     return state
 
@@ -927,106 +871,120 @@ def _certify_norm_control(state, symbol):
 
 
 # ---------------------------------------------------------------------------
-# the Bloch construction
+# the two spaces
 # ---------------------------------------------------------------------------
+
+def _arc_maximum(dens, ell_w, avg_w, delta):
+    """BMOA's (d): (average, arc) of the largest box average of dens over
+    sampled arcs of length <= delta; float ranks, mp compares rivals."""
+    llo, lhi = mp.log(ell_w), mp.log(delta)
+    cands = sorted({ell_w * 2 ** j for j in range(1, 11)}
+                   | {mp.exp(llo + (lhi - llo) * i / 8) for i in range(1, 8)})
+    cands = [ell for ell in cands if ell <= delta and ell != ell_w]
+    lvs = [_log_box_average(dens.log, _log(ell)) for ell in cands]
+    best_avg, best_len = avg_w, ell_w
+    for i in _rivals(lvs + [_log(avg_w)]):
+        if i < len(cands):                    # not ell_w, already in mp
+            v = mp_box_average(dens.mp, cands[i])
+            if v > best_avg:
+                best_avg, best_len = v, cands[i]
+    return best_avg, best_len
+
+
+def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
+               bits=None) -> ConstructionState:
+    """Recursive witness construction: F with T_g F in BMOA minus VMOA.
+
+    Per step n: (a) delta_n = largest sampled arc length with box averages of
+    |F_{n-1} g'|^2 (1-|z|^2) below 1; (b) delta'_n = min(delta_n,
+    (2^{-2n} delta_n)^2); (c) squaring search for w_n at the concentration
+    angle with the I_{w_n}-average of (Re beta)^2 |g'|^2 (1-|z|^2) >= 2^{2n};
+    (d) M_n^2 = max of those averages over sampled arcs of length <= delta_n;
+    (e) a_n = 1/M_n.  Invariants are certified at every step, property (2)
+    on the arc that attains M_n.
+    """
+    def bmoa(bits):
+        scale_sq = _bmoa_scale_sq(symbol, bits)
+        s2, ls2 = mp.mpf(scale_sq), math.log(scale_sq)
+        return _Space(
+            mode="bmoa", p=2, scale=math.sqrt(scale_sq),
+            weight=lambda t, g: s2 * symbol.base_density(t, g),
+            log_weight=lambda pts: ls2 + symbol.log_density(pts),
+            region=_arc_length_of, value=mp_box_average,
+            log_value=_log_box_average,
+            admissible=lambda dens, delta: _largest_admissible_length(
+                dens, delta, mp.mpf(1)),
+            maximum=_arc_maximum,
+            failure=lambda n, gap: (
+                "(step %d: block averages plateaued below 2^%d)"
+                % (n, 2 * n),
+                {"step": n, "last_gap_exponent": mp.nstr(mp.log(gap, 2), 10)}),
+            step_keys=lambda ell: {"arc_center": mp.mpf(0), "arc_length": ell},
+            cert_keys=lambda cert2, avg_w: {
+                "delta_prime_bound": True, "property2_average": float(cert2),
+                "candidate_average": float(min(avg_w, mp.mpf(10) ** 300))},
+            cert_failure="property (2) certification failed at step %d: %s")
+    return _witness(bmoa, symbol, n_max, bits)
+
+
+_LOG_ANGLES = [math.log(math.pi * j / 8) if j else -math.inf
+               for j in range(16)]
+
+
+def _region_sup(quant, delta):
+    """Sampled sup of the _Density quant over 1-|z| <= delta (angle-0 ray,
+    angles 2 pi j/16 at several gaps); float ranks, mp compares rivals."""
+    angles = [mp.mpf(2 * mp.pi) * j / 16 for j in range(16)]
+    pts = [(t, delta / 2 ** k) for k in range(24) for t in angles]
+    pts += [(mp.mpf(0), delta ** (2 ** i)) for i in range(1, 5)]
+    ld = _log(delta)
+    lg = [ld - k * _LOG2 for k in range(24) for _ in angles]
+    lg += [2 ** i * ld for i in range(1, 5)]
+    lvs = quant.log(_Points(_LOG_ANGLES * 24 + [-math.inf] * 4, lg))
+    return max(quant.mp(*pts[i]) for i in _rivals(lvs))
+
+
+def _halved_admissible(quant, delta):
+    """Bloch's (a): delta, shrunk until the _region_sup of quant is <= 1."""
+    for _ in range(40):
+        if _region_sup(quant, delta) <= 1:
+            return delta
+        delta = delta * delta if delta < mp.mpf("0.05") else delta / 2
+    raise ConstructionFailure("no admissible delta_n (Bloch)")
+
 
 def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
                 bits=None) -> ConstructionState:
-    """Bloch variant: pointwise quantities instead of box averages."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1, got %r" % (n_max,))
-    bits = _checked_bits(bits)
-    dg0 = symbol.dg0_abs()
-    if dg0 == 0:
-        raise ValueError("symbol must satisfy g'(0) != 0")
-    scale = 1.0 / dg0
-    state = ConstructionState("bloch", symbol.name, bits, scale,
-                              DEFAULT_TOL_C)
-    with mp.workprec(bits):
+    """Bloch variant: point values instead of box averages, |g'(0)| = 1.
+
+    Per step n: (a) delta_n = delta_{n-1} (0.125 at n = 1), halved (squared
+    below 0.05) until the sampled sup of |F_{n-1} g'| (1-|z|^2) over
+    1-|z| <= delta_n is at most 1; (b) delta'_n as for BMOA; (c) squaring
+    search for w_n at angle 0 with Re beta |g'| (1-|z|^2) >= 2^n at w_n;
+    (d) M_n = max of that value and its sampled sup over 1-|z| <= delta_n;
+    (e) a_n = 1/M_n.  Property (2) is certified at w_n (z_n_gap), not where
+    M_n is attained: for log-half the region sup attains it at steps 1-6.
+    """
+    def bloch(bits):
+        dg0 = symbol.dg0_abs()
+        if dg0 == 0:
+            raise ValueError("symbol must satisfy g'(0) != 0")
+        scale = 1.0 / dg0
         s1, ls1 = mp.mpf(scale), math.log(scale)
-
-        def base_abs(theta, gap):
-            # |g'(z)| (1-|z|^2), scaled so g'(0) = 1
-            return s1 * mp.sqrt(symbol.base_density(theta, gap)
-                                * gap * (2 - gap))
-
-        def log_base_abs(p):
-            return ls1 + (symbol.log_density(p) + p.lg + p.l2mg) / 2
-
-        # region_sup's angles 0 and 2 pi j/16, as mpf and as float logs
-        angles = [mp.mpf(0)] + [mp.mpf(2 * mp.pi) * j / 16
-                                for j in range(1, 16)]
-        log_angles = [-math.inf] + [math.log(math.pi * j / 8)
-                                    for j in range(1, 16)]
-
-        def region_sup(quant, delta):
-            """Sampled sup of the _Density quant over 1-|z| <= delta
-            (angle-0 ray plus a coarse angular sweep at several gap
-            levels).  Float ranks the points; the sup is mp's maximum over
-            the float argmax and its rivals."""
-            pts = [(t, delta / 2 ** k) for k in range(24) for t in angles]
-            pts += [(mp.mpf(0), delta ** (2 ** i)) for i in range(1, 5)]
-            ld = _log(delta)
-            lg = [ld - k * _LOG2 for k in range(24) for _ in angles]
-            lg += [2 ** i * ld for i in range(1, 5)]
-            lvs = quant.log(_Points(log_angles * 24 + [-math.inf] * 4, lg))
-            return max(quant.mp(*pts[i]) for i in _rivals(lvs))
-
-        def beta_quantity(gw, gsw):
-            lr, lrs = _log(gw), _log(gsw)
-            return _Density(
-                lambda t, g: (_beta_mp(mp.mpf(0), gw, gsw, t, g).real
-                              * base_abs(t, g)),
-                lambda p: (np.log(_beta_float(lr, lrs, p)[0])
-                           + log_base_abs(p)))
-
-        def block_value(gw, gsw):
-            q = beta_quantity(gw, gsw)
-            return (float(q.log(_Points(-math.inf, _log(gw)))[0]),
-                    lambda: q.mp(mp.mpf(0), gw))
-
-        delta = mp.mpf("0.125")
-        for n in range(1, n_max + 1):
-            # the pointwise quantity |F_{n-1} g'| (1-|z|^2)
-            quant_F = _Density(
-                lambda t, g: mp.sqrt(state.abs_F_sq(t, g)) * base_abs(t, g),
-                lambda p: state.log_abs_F_sq(p) / 2 + log_base_abs(p))
-            for _ in range(40):
-                if region_sup(quant_F, delta) <= 1:
-                    break
-                delta = delta * delta if delta < mp.mpf("0.05") else delta / 2
-            else:
-                raise ConstructionFailure("no admissible delta_n (Bloch)")
-            delta_p = min(delta, (delta / 2 ** (2 * n)) ** 2)
-
-            gap_w, gs, v_w = _squaring_search(block_value, delta_p,
-                                              mp.mpf(2) ** n)
-            if v_w is None:
-                raise ConstructionFailure(
-                    "divergence evidence insufficient at this precision "
-                    "(Bloch step %d)" % n, {"step": n})
-            quant_beta = beta_quantity(gap_w, gs)
-
-            # pointwise maximum over the sampled region 1-|z| <= delta_n
-            M = max(v_w, region_sup(quant_beta, delta))
-            zn_gap = gap_w        # the attaining sample (angle 0)
-            a = 1 / M
-            if a > mp.mpf(2) ** (-n):
-                raise AssertionError("coefficient bound a_n <= 2^-n violated")
-            state.steps.append({"a": a, "theta": mp.mpf(0), "gap": gap_w,
-                                "gap_star": gs, "delta": delta,
-                                "delta_prime": delta_p, "M": M,
-                                "z_n_gap": zn_gap})
-            state.n = n
-            cert2 = state.re_F(mp.mpf(0), zn_gap) * base_abs(mp.mpf(0), zn_gap)
-            if cert2 < 1 - DEFAULT_TOL_C:
-                raise AssertionError(
-                    "Bloch property (2) failed at step %d: %s"
-                    % (n, mp.nstr(cert2, 10)))
-            state.certifications.append({
-                "step": n, "a_leq_2^-n": True,
-                "property2_value": float(cert2),
-                "M": float(min(M, mp.mpf(10) ** 300)),
-            })
-    _certify_norm_control(state, symbol)
-    return state
+        return _Space(
+            mode="bloch", p=1, scale=scale,
+            weight=lambda t, g: s1 * mp.sqrt(symbol.base_density(t, g)
+                                             * g * (2 - g)),
+            log_weight=lambda pts: ls1 + (symbol.log_density(pts) + pts.lg
+                                          + pts.l2mg) / 2,
+            region=lambda gap: gap,
+            value=lambda dens, gap: dens(mp.mpf(0), gap),
+            log_value=lambda ld, lg: float(ld(_Points(-math.inf, lg))[0]),
+            admissible=_halved_admissible,
+            maximum=lambda quant, gap_w, v_w, delta: (
+                max(v_w, _region_sup(quant, delta)), gap_w),
+            failure=lambda n, gap: ("(Bloch step %d)" % n, {"step": n}),
+            step_keys=lambda gap: {"z_n_gap": gap},
+            cert_keys=lambda cert2, v_w: {"property2_value": float(cert2)},
+            cert_failure="Bloch property (2) failed at step %d: %s")
+    return _witness(bloch, symbol, n_max, bits)

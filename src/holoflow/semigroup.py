@@ -261,7 +261,7 @@ class Trajectory:
     points: np.ndarray      # phi_t(z0) samples
     derivs: np.ndarray      # d phi_t / dz samples
     n_steps: int
-    residual: float         # |dw/dt - G(w)| at the final sample (FD check)
+    residual: float         # |phi_{t/2}(phi_{t/2}(z0)) - phi_t(z0)|
 
     @property
     def endpoint(self) -> complex:

@@ -91,12 +91,16 @@ def _emit(args, report, series=()):
 
 
 def _weight(args) -> Weight:
-    return Weight.log() if getattr(args, "weight", "none") == "log" else \
-        Weight.unit()
+    return Weight.log() if args.weight == "log" else Weight.unit()
 
 
 def _gen(args) -> semigroup.Generator:
     return semigroup.Generator.from_source(args.generator)
+
+
+def _complex_arg(text) -> complex:
+    """A literal such as 0.9, 0.5+0.1j or 0.5+0.1i; ValueError if malformed."""
+    return complex(text.replace("i", "j"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +113,8 @@ def cmd_classify(args):
 
 
 def cmd_flow(args):
-    gen = _gen(args)
-    traj = semigroup.flow(gen, complex(args.z0_re, args.z0_im), args.t)
+    z0 = _complex_arg(args.z0)
+    traj = semigroup.flow(_gen(args), z0, args.t)
     series = [("trajectory_re", t, p.real) for t, p in
               zip(traj.times, traj.points)]
     series += [("trajectory_im", t, p.imag) for t, p in
@@ -133,7 +137,7 @@ def cmd_koenigs(args):
     gen = _gen(args)
     rr, zs = _ray(args)
     cls = semigroup.classify(gen)
-    h, hp = semigroup.koenigs(gen)
+    h, _ = semigroup.koenigs(gen)
     vals = [complex(h(z)) for z in zs]
     series = [("koenigs_abs", r, abs(v)) for r, v in zip(rr, vals)]
     return _emit(args, {"kind": cls.kind, "tau": cls.tau, "lambda": cls.lam,
@@ -147,7 +151,7 @@ def cmd_gamma(args):
     cls = semigroup.classify(gen)
     gam, gp = semigroup.gamma_symbol(gen)
     vals = [complex(gam(z)) for z in zs]
-    ders = [complex(np.atleast_1d(gp(z))[0]) for z in zs]
+    ders = [complex(d) for d in gp(zs)]
     series = [("gamma_abs", r, abs(v)) for r, v in zip(rr, vals)]
     return _emit(args, {"kind": cls.kind, "ray_angle": args.angle,
                         "radii": list(rr), "values": vals,
@@ -205,8 +209,7 @@ def cmd_sarason(args):
     gen = _gen(args)
     times = [float(t) for t in args.times.split(",")]
     f = expr.FunctionHandle.from_source(args.function)
-    probe = volterra.continuity_probe(gen, f, times, space=args.space,
-                                      w=_weight(args))
+    probe = volterra.continuity_probe(gen, f, times, space=args.space)
     series = [("seminorm", t, v) for t, v in zip(probe.times, probe.values)]
     return _emit(args, probe, series)
 
@@ -228,7 +231,7 @@ def cmd_construct(args):
 
 
 def cmd_block_verify(args):
-    rep = construct.verify_block(complex(args.w_re, args.w_im))
+    rep = construct.verify_block(_complex_arg(args.w))
     return _emit(args, rep)
 
 
@@ -364,12 +367,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         construct.default_bits()        # reject a bad precision before work
-        if args.command == "flow":
-            z0 = complex(args.z0.replace("i", "j"))
-            args.z0_re, args.z0_im = z0.real, z0.imag
-        if args.command == "block-verify":
-            wc = complex(args.w.replace("i", "j"))
-            args.w_re, args.w_im = wc.real, wc.imag
         return args.fn(args)
     except ParseDiagnostic as exc:
         return _error_doc(EXIT_PARSE, exc)

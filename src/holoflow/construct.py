@@ -282,7 +282,7 @@ def verify_block(w, bits=None) -> BlockReport:
                 outside.append(abs(_beta_mp(theta, gap, gap_star, t, s)))
         # float grid points outside the w* box
         wsbox = GeodesicBox(Arc(float(theta), float(params.arc_wstar)))
-        mask = np.array([not box_contains(wsbox, z) for z in zf])
+        mask = ~box_contains(wsbox, zf)
         c0_meas = max(float(np.max(np.abs(vals[mask]))),
                       max((float(x) for x in outside), default=0.0))
 
@@ -378,20 +378,25 @@ def _mp_ring(density, half, gap, weight, xv, wv):
     return weight * ring * (1 - gap) / mp.pi
 
 
+def _panel_nodes(edges, xg, wg):
+    """(gap, radial weight) Gauss-Legendre nodes on the gap panels between
+    consecutive edges, outermost panel first."""
+    nodes = []
+    for hi, lo in zip(edges, edges[1:]):
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        nodes += [(mid + half * x, half * w) for x, w in zip(xg, wg)]
+    return nodes
+
+
 def mp_disc_integral(density):
     """int density dm for densities peaked at angle 0 (sinh-clustered) and
     even in the angle (_mp_ring): 41 dyadic gap panels, the last one
     reaching the boundary, with 4 gap and 10 angular nodes each."""
-    xg, wg = _gl(4)
     xv, wv = _gl(10)
+    edges = [mp.mpf(1) / 2 ** k for k in range(41)] + [mp.mpf(0)]
     total = mp.mpf(0)
-    for k in range(41):
-        lo = mp.mpf(2) ** (-k - 1) if k < 40 else mp.mpf(0)
-        hi = mp.mpf(2) ** (-k)
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        for x, w in zip(xg, wg):
-            gap = mid + half * x
-            total += _mp_ring(density, mp.pi, gap, half * w, xv, wv)
+    for gap, weight in _panel_nodes(edges, *_gl(4)):
+        total += _mp_ring(density, mp.pi, gap, weight, xv, wv)
     return total
 
 
@@ -419,10 +424,7 @@ def mp_box_average(density, length):
     for x, w in zip(xg, wg):
         u = umax / 2 + (umax / 2) * x
         nodes.append((gmax - u * u, (umax / 2) * w * 2 * u))
-    for k in range(1, 23):
-        lo, hi = gmax / 2 ** (k + 1), gmax / 2 ** k
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        nodes += [(mid + half * x, half * w) for x, w in zip(xg, wg)]
+    nodes += _panel_nodes([gmax / 2 ** k for k in range(1, 24)], xg, wg)
     total = mp.mpf(0)
     for gap, weight in nodes:
         half = _box_halfwidth(gap, length)

@@ -90,9 +90,7 @@ class MobiusMap:
         return MobiusMap(_as_complex(a))
 
     def __call__(self, z):
-        a = complex(self.a)
-        z = z if isinstance(z, np.ndarray) else complex(_as_complex(z))
-        return (a - z) / (1.0 - a.conjugate() * z)
+        return phi(self.a, z if isinstance(z, np.ndarray) else _as_complex(z))
 
 
 def phi(a, z):
@@ -144,13 +142,9 @@ def arc_of(w) -> Arc:
     r = p.radius
     if r == 0.0:
         raise ValueError("arc undefined for w = 0")
-    # half-angle theta with cos(theta) = 2r/(1+r^2); near the boundary use the
-    # gap to avoid loss of accuracy: 1 - cos(theta) = gap^2 / (1 + r^2)
-    c = 2.0 * r / (1.0 + r * r)
-    if p.gap < 1e-6:
-        theta = 2.0 * math.asin(p.gap / math.sqrt(2.0 * (1.0 + r * r)))
-    else:
-        theta = math.acos(min(1.0, c))
+    # half-angle theta with cos(theta) = 2r/(1+r^2), from the gap so that no
+    # gap loses accuracy: sin(theta/2) = gap / sqrt(2 (1 + r^2))
+    theta = 2.0 * math.asin(p.gap / math.sqrt(2.0 * (1.0 + r * r)))
     return Arc(p.theta % TWO_PI, theta / math.pi)
 
 
@@ -159,10 +153,12 @@ class GeodesicBox:
     """Carleson box S(I): closed hyperbolic half-plane bounded by the geodesic
     over the arc I.
 
-    For length < 1/2 the bounding geodesic is the circle of center
-    e^{i theta_c}/cos(pi l) and radius tan(pi l), orthogonal to the unit
-    circle.  For length >= 1/2 the box is stored as the complement of the
-    opposite box, where the circle test degenerates.
+    Its section at radius r is the set of angles within
+    angular_halfwidth(r) of the arc centre.  For length < 1/2 the bounding
+    geodesic is the circle of center e^{i theta_c}/cos(pi l) and radius
+    tan(pi l), orthogonal to the unit circle; for length 1/2 it is a
+    diameter.  A longer box is the complement of the opposite box, so its
+    half-width is pi minus the opposite one.
     """
 
     arc: Arc
@@ -205,18 +201,11 @@ def box_of(arc_or_point) -> GeodesicBox:
     return GeodesicBox(arc)
 
 
-def box_contains(box: GeodesicBox, z, tol=1e-12) -> bool:
-    """Closed membership test for the geodesic Carleson box."""
-    z = _as_complex(z)
-    arc = box.arc
-    if arc.length == 1.0:
-        return True
-    if arc.length > 0.5:
-        # complement of the open opposite box
-        return not box_contains(box.opposite(), z, tol=-tol)
-    w = z * cmath.exp(-1j * arc.theta_c)  # rotate arc center to angle 0
-    if arc.length == 0.5:
-        return w.real >= -tol
-    c = 1.0 / math.cos(arc.half_angle)
-    rho = math.tan(arc.half_angle)
-    return abs(w - c) <= rho * (1.0 + tol) + tol
+def box_contains(box: GeodesicBox, z):
+    """Closed membership in the geodesic Carleson box, elementwise in z: a
+    point lies in S(I) iff its angular distance to the arc centre is at most
+    the box's half-width at its radius (nan, so never, where the section is
+    empty)."""
+    z = np.asarray(z, dtype=complex)
+    dist = np.abs(np.angle(z * cmath.exp(-1j * box.arc.theta_c)))
+    return dist <= box.angular_halfwidth(np.abs(z))

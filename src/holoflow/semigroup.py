@@ -347,32 +347,25 @@ def flow(gen, z0, t) -> Trajectory:
 # Koenigs function and gamma-symbol
 # ---------------------------------------------------------------------------
 
-def koenigs(gen):
-    """Return handles (h, h') for the conformal conjugation of the semigroup.
+def koenigs(gen) -> _expr.FunctionHandle:
+    """Return the handle (h, h') of the conformal conjugation of the semigroup.
 
     Elliptic: h(tau) = 0, h'(tau) = 1, h(phi_t(z)) = exp(-lambda t) h(z),
     built as (z - tau) exp(int_tau^z [-lambda/G - 1/(s - tau)] ds); the
-    integrand is holomorphic across tau.  Non-elliptic: h' = i/G, h(0) = 0.
+    integrand is holomorphic across tau, which no line_integral node hits.
+    Non-elliptic: h' = i/G, h(0) = 0.
     """
     cls = classify(gen)
     if cls.kind == "elliptic":
         tau, lam = cls.tau, cls.lam
         core = sub(div(Const(-lam), gen.G), div(Const(1.0), sub(Var(), Const(tau))))
 
-        def correction(pts):
-            out = _expr.evaluate_array(core, pts)
-            bad = ~np.isfinite(out)
-            if np.any(bad):
-                # removable limit -G''(tau) / (2 G'(tau)) via central difference
-                h = 1e-6
-                out[bad] = -(gen.dG(tau + h) - gen.dG(tau - h)) / (4.0 * h * gen.dG(tau))
-            return out
-
         def h(z):
             z = complex(z)
             if z == tau:
                 return 0.0 + 0.0j
-            return (z - tau) * cmath.exp(line_integral(correction, tau, z))
+            return (z - tau) * cmath.exp(line_integral(
+                lambda s: _expr.evaluate_array(core, s), tau, z))
 
         def hp(z):
             z = complex(z)
@@ -380,7 +373,7 @@ def koenigs(gen):
                 return 1.0 + 0.0j
             return h(z) * (-lam / gen.G(z))
 
-        return h, hp
+        return _expr.FunctionHandle(h, hp)
 
     def hp_ne(z):
         return 1j / gen.G(z)
@@ -388,36 +381,28 @@ def koenigs(gen):
     def h_ne(z):
         return line_integral(hp_ne, 0.0, complex(z))
 
-    return h_ne, hp_ne
+    return _expr.FunctionHandle(h_ne, hp_ne)
 
 
-def gamma_symbol(gen):
-    """Return handles (gamma, gamma') for the Volterra symbol of the semigroup.
+def gamma_symbol(gen) -> _expr.FunctionHandle:
+    """Return the handle (gamma, gamma') of the semigroup's Volterra symbol.
 
     Elliptic: gamma'(z) = (z - tau)/G(z)  (equal to -1/p for Berkson-Porta
-    input), with the removable value -1/lambda at tau.  Boundary case: gamma
-    coincides with the Koenigs function.
+    input), and -1/lambda within 1e-12 of tau or where it is not finite.
+    Boundary case: gamma coincides with the Koenigs function.
     """
     cls = classify(gen)
     if cls.kind != "elliptic":
         return koenigs(gen)
     tau, lam = cls.tau, cls.lam
     tree = div(sub(Var(), Const(tau)), gen.G)
-    at_tau = -1.0 / lam
 
     def gp(z):
-        if np.isscalar(z) or isinstance(z, complex):
-            z = complex(z)
-            if abs(z - tau) < 1e-12:
-                return at_tau
-            return _expr.evaluate(tree, z)
         out = _expr.evaluate_array(tree, z)
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            out[bad] = at_tau
-        return out
+        return np.where(np.isfinite(out) & (np.abs(z - tau) >= 1e-12), out,
+                        -1.0 / lam)
 
     def gamma(z):
         return line_integral(gp, tau, complex(z))
 
-    return gamma, gp
+    return _expr.FunctionHandle(gamma, gp)

@@ -440,23 +440,21 @@ def _garsia_sweep(fp, factor, n_angles):
 # ---------------------------------------------------------------------------
 
 def _lvb_verdict(gen):
-    thetas = np.arange(64) * (2.0 * math.pi / 64)
-    eit = np.exp(1j * thetas)
     skipped = [0]
 
-    def angular_sup(r):
-        z = r * eit
+    def circle_values(r, z):
         gv = np.abs(_expr.evaluate_array(gen.G, z))
         oms = 1.0 - r * r
         with np.errstate(divide="ignore", over="ignore"):
             vals = oms / gv * math.log(1.0 / oms)
-        ok = np.isfinite(vals) & (gv > 1e-300)
-        skipped[0] += int(np.sum(~ok))
-        if not np.any(ok):
-            raise ArithmeticError("generator vanished on the whole circle")
-        return float(np.max(vals[ok]))
+        skip = ~np.isfinite(vals) | (gv <= 1e-300)
+        skipped[0] += int(np.sum(skip))
+        return np.where(skip, np.nan, vals)
 
-    verdict = radial_limit(angular_sup)
+    # 64 angles per radius; a circle with no usable sample gives -inf, and
+    # radial_limit skips that radius
+    verdict = radial_limit(
+        lambda r: grid_sup(partial(circle_values, r), ("circle", r), 3).value)
     if skipped[0]:
         verdict.flags.append("skipped %d samples at zeros of G" % skipped[0])
     return verdict

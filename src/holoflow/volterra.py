@@ -88,10 +88,9 @@ class ContinuityProbe:
     floor: float
 
 
-def continuity_probe(gen, f, times, space="bmoa",
-                     w=Weight.unit()) -> ContinuityProbe:
-    """Seminorms (spaces.seminorm at its default depth) of C_t f - f along
-    decreasing times, with a trend tag.
+def continuity_probe(gen, f, times, space="bmoa") -> ContinuityProbe:
+    """Unweighted seminorms (spaces.seminorm at its default depth) of
+    C_t f - f along decreasing times, with a trend tag.
 
     times: 1 to 8 strictly decreasing values in (0, 1]; anything else
     raises ValueError before any flow runs.
@@ -107,7 +106,7 @@ def continuity_probe(gen, f, times, space="bmoa",
         ct = compose_apply(gen, t, f)
         diff = FunctionHandle(lambda z, c=ct: c.val(z) - f.val(z),
                               lambda z, c=ct: c.der(z) - f.der(z))
-        values.append(spaces.seminorm(diff, space, w).value)
+        values.append(spaces.seminorm(diff, space).value)
     floor = min(values)
     decaying = all(b < a for a, b in zip(values, values[1:]))
     if decaying and values[-1] < 0.25 * values[0]:

@@ -128,6 +128,30 @@ def test_every_exported_name_has_a_consumer():
     assert unused == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    # deletions leave imports behind; a name listed in __all__ counts as read
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "holoflow").glob("*.py"))
+    paths += sorted((root / "tests").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body:
+            if _defines(stmt, "__all__"):
+                read |= set(ast.literal_eval(stmt.value))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append("%s: %s" % (path.name, bound))
+    assert unused == []
+
+
 def test_numbers_rendered_as_decimal_strings(capsys):
     _, doc = run_json(capsys, "norm", "--function", "log(e/(1 - z))",
                       "--space", "bmoa", "--J", "6")
@@ -224,6 +248,22 @@ def test_out_of_range_times_and_start_points_exit_3(capsys, monkeypatch,
     assert code == cli.EXIT_DOMAIN
     assert doc["error"]["exit_code"] == 3
     assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--generator", "-z", "--z0", "abc", "--t", "1"),
+    ("block-verify", "--w", "abc"),
+])
+def test_malformed_complex_literal_exits_3(capsys, argv):
+    code, doc = run_json(capsys, *argv)       # exactly one JSON document
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "ValueError"
+
+
+def test_complex_literal_accepts_i_for_j(capsys):
+    argv = ("flow", "--generator", "-z*(1 + z)/(1 - z)", "--t", "2", "--z0")
+    assert run(capsys, *argv, "0.3+0.2i") == run(capsys, *argv, "0.3+0.2j")
 
 
 @pytest.mark.parametrize("argv", [

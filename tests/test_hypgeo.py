@@ -1,5 +1,6 @@
 """Hyperbolic geometry of the disc: Mobius maps, arcs, geodesic boxes."""
 
+import cmath
 import math
 
 import numpy as np
@@ -133,6 +134,55 @@ def test_complement_representation_for_long_arcs():
     assert abs(abs(opp.arc.theta_c - box.arc.theta_c) - math.pi) <= 1e-12
     for z in (0.9, 0.9j, -0.9, 0.0):
         assert box_contains(box, z) != box_contains(opp, z) or abs(z) == 0.9
+
+
+def _circle_contains(box, z, tol=1e-12):
+    """Reference: the scalar circle test, with the boundary inflated by tol
+    and long boxes as complements of the open opposite box."""
+    arc = box.arc
+    if arc.length == 1.0:
+        return True
+    if arc.length > 0.5:
+        return not _circle_contains(box.opposite(), z, tol=-tol)
+    w = complex(z) * cmath.exp(-1j * arc.theta_c)
+    if arc.length == 0.5:
+        return w.real >= -tol
+    c = 1.0 / math.cos(arc.half_angle)
+    rho = math.tan(arc.half_angle)
+    return abs(w - c) <= rho * (1.0 + tol) + tol
+
+
+def _geodesic_distance(box, z):
+    """Euclidean distance from z to the geodesic bounding the box."""
+    if box.arc.length == 1.0:
+        return np.full(z.shape, np.inf)
+    if box.arc.length > 0.5:
+        box = box.opposite()
+    w = z * cmath.exp(-1j * box.arc.theta_c)
+    if box.arc.length == 0.5:
+        return np.abs(w.real)
+    half = box.arc.half_angle
+    return np.abs(np.abs(w - 1.0 / math.cos(half)) - math.tan(half))
+
+
+def test_elementwise_membership_matches_the_circle_test():
+    rng = np.random.default_rng(41)
+    for length in (0.1, 0.25, 0.5, 0.75, 1.0):
+        for theta in rng.uniform(0.0, 2.0 * math.pi, 4):
+            box = box_of(Arc(theta, length))
+            z = (np.sqrt(rng.uniform(0.0, 0.999999, 600))
+                 * np.exp(2j * math.pi * rng.uniform(size=600)))
+            # and points within 1e-6 of the bounding geodesic's section at
+            # each radius
+            r = rng.uniform(box.closest_radius, 0.999999, 200)
+            half = np.nan_to_num(box.angular_halfwidth(r))
+            side = rng.uniform(-1e-6, 1e-6, 200) + np.sign(
+                rng.uniform(-1.0, 1.0, 200)) * half
+            z = np.concatenate([z, r * np.exp(1j * (theta + side))])
+            z = z[_geodesic_distance(box, z) > 1e-9]
+            got = box_contains(box, z)
+            assert got.shape == z.shape
+            assert got.tolist() == [_circle_contains(box, p) for p in z]
 
 
 def test_arc_of_near_boundary_point_uses_stable_form():

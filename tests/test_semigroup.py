@@ -385,6 +385,19 @@ def test_gamma_symbol_elliptic_value_at_tau():
         pytest.approx(-1.0, abs=1e-10)
 
 
+def test_gamma_symbol_has_one_rule_at_and_off_tau(capsys):
+    gen = _gen("-z*(1 + z)/(1 - z)")            # tau = 0, lambda = 1
+    _, gp = gamma_symbol(gen)
+    # within 1e-12 of tau the removable value -1/lambda, exactly
+    assert complex(gp(np.array([1e-13 + 0j]))[0]) == -1.0
+    # a gamma report's derivatives are one array call on the ray
+    assert cli.main(["gamma", "--generator", "-z*(1 + z)/(1 - z)",
+                     "--angle", "0.7"]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    ray = np.linspace(0.0, 0.9, 10) * np.exp(0.7j)
+    assert doc["derivatives"] == cli.render(list(gp(ray)))
+
+
 def test_gamma_symbol_boundary_equals_koenigs():
     gen = _gen("(1 - z)^2")
     h, _ = koenigs(gen)

@@ -18,7 +18,6 @@ import math
 import sys
 from dataclasses import asdict
 
-import mpmath as mp
 import numpy as np
 
 from . import __version__, construct, expr, quad, semigroup, spaces, volterra
@@ -57,8 +56,6 @@ def render(obj):
         return _fmt_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": _fmt_float(obj.real), "im": _fmt_float(obj.imag)}
-    if isinstance(obj, mp.mpf):
-        return mp.nstr(obj, 50)
     if isinstance(obj, dict):
         return {str(k): render(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -66,8 +63,6 @@ def render(obj):
     if isinstance(obj, LimitVerdict):
         return render({"tag": obj.tag, "last_value": obj.last_value,
                        "samples": list(obj.samples), "flags": list(obj.flags)})
-    if isinstance(obj, Weight):
-        return {"tag": obj.tag, "K": render(obj.K)}
     if hasattr(obj, "__dataclass_fields__"):
         return render({k: getattr(obj, k) for k in obj.__dataclass_fields__})
     return render(str(obj))

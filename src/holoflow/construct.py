@@ -273,13 +273,15 @@ def verify_block(w, bits=None) -> BlockReport:
         # (v): |beta| outside S(I_{w*}); float grid plus points just outside
         gsmax = _box_gap_max(params.arc_wstar)
         hs = mp.pi * params.arc_wstar
-        outside = []
-        for t, s in samples + [(theta + sgn * (1 + mp.mpf("1e-6")) * hs,
-                                mp.mpf("1e-9")) for sgn in (-1, 1)]:
+        edge = [(theta + sgn * (1 + mp.mpf("1e-6")) * hs, mp.mpf("1e-9"))
+                for sgn in (-1, 1)]
+        outside = []     # the samples reuse mp_vals; only edge points are new
+        for (t, s), v in zip(samples + edge, mp_vals + [None, None]):
             dphi = abs(mp.fmod(t - theta + mp.pi, 2 * mp.pi) - mp.pi)
             hw = _box_halfwidth(s, params.arc_wstar)
             if s > gsmax or hw is None or dphi > hw:
-                outside.append(abs(_beta_mp(theta, gap, gap_star, t, s)))
+                v = _beta_mp(theta, gap, gap_star, t, s) if v is None else v
+                outside.append(abs(v))
         # float grid points outside the w* box
         wsbox = GeodesicBox(Arc(float(theta), float(params.arc_wstar)))
         mask = ~box_contains(wsbox, zf)

@@ -53,15 +53,14 @@ class EvalDomainError(Exception):
 # ---------------------------------------------------------------------------
 
 class HoloExpr:
-    """Base class for all expression nodes."""
+    """Base class for all expression nodes: plain data, one field per slot.
+    Each pass over a tree is a table keyed by node type (_UFUNC, _DERIVATIVE)."""
 
     __slots__ = ()
 
-    def _d(self):
-        raise NotImplementedError
-
-    def __call__(self, z):
-        return evaluate(self, z) if np.isscalar(z) else evaluate_array(self, z)
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
 
 
 class Const(HoloExpr):
@@ -70,66 +69,29 @@ class Const(HoloExpr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def _d(self):
-        return Const(0.0)
-
 
 class Var(HoloExpr):
     __slots__ = ()
-
-    def _d(self):
-        return Const(1.0)
 
 
 class Add(HoloExpr):
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _d(self):
-        return add(self.a._d(), self.b._d())
-
 
 class Sub(HoloExpr):
     __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _d(self):
-        return sub(self.a._d(), self.b._d())
 
 
 class Mul(HoloExpr):
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _d(self):
-        return add(mul(self.a._d(), self.b), mul(self.a, self.b._d()))
-
 
 class Div(HoloExpr):
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _d(self):
-        num = sub(mul(self.a._d(), self.b), mul(self.a, self.b._d()))
-        return div(num, mul(self.b, self.b))
-
 
 class Neg(HoloExpr):
     __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def _d(self):
-        return neg(self.a._d())
 
 
 class Pow(HoloExpr):
@@ -140,39 +102,17 @@ class Pow(HoloExpr):
     def __init__(self, a, p):
         self.a, self.p = a, float(p)
 
-    def _d(self):
-        # d(u^p) = p * u^(p-1) * u'
-        return mul(mul(Const(self.p), Pow(self.a, self.p - 1.0)), self.a._d())
-
 
 class Exp(HoloExpr):
     __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def _d(self):
-        return mul(Exp(self.a), self.a._d())
 
 
 class Log(HoloExpr):
     __slots__ = ("a",)
 
-    def __init__(self, a):
-        self.a = a
-
-    def _d(self):
-        return div(self.a._d(), self.a)
-
 
 class Sqrt(HoloExpr):
     __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def _d(self):
-        return div(self.a._d(), mul(Const(2.0), Sqrt(self.a)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +211,22 @@ def _map(fn, items):
 _CHUNK = 1 << 14
 _UFUNC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.true_divide,
           Neg: np.negative, Exp: np.exp, Log: np.log, Sqrt: np.sqrt}
+# rule(node, da, db) builds the derivative tree of node from the derivative
+# trees of its children a and b; the smart constructors keep it readable
+_DERIVATIVE = {
+    Const: lambda e, da, db: Const(0.0),
+    Var: lambda e, da, db: Const(1.0),
+    Add: lambda e, da, db: add(da, db),
+    Sub: lambda e, da, db: sub(da, db),
+    Mul: lambda e, da, db: add(mul(da, e.b), mul(e.a, db)),
+    Div: lambda e, da, db: div(sub(mul(da, e.b), mul(e.a, db)), mul(e.b, e.b)),
+    Neg: lambda e, da, db: neg(da),
+    # d(u^p) = p * u^(p-1) * u'
+    Pow: lambda e, da, db: mul(mul(Const(e.p), Pow(e.a, e.p - 1.0)), da),
+    Exp: lambda e, da, db: mul(Exp(e.a), da),
+    Log: lambda e, da, db: div(da, e.a),
+    Sqrt: lambda e, da, db: div(da, mul(Const(2.0), Sqrt(e.a))),
+}
 
 
 def _new_pool():
@@ -315,7 +271,14 @@ def _walk(node, z, memo):
 
 def differentiate(expr):
     """Exact symbolic derivative tree."""
-    return expr._d()
+    return _derivative(expr)
+
+
+def _derivative(node):
+    # children first, then the node's rule: one frame per tree level, and
+    # no call of differentiate (which a tracer may wrap) per node
+    a, b = getattr(node, "a", None), getattr(node, "b", None)
+    return _DERIVATIVE[type(node)](node, a and _derivative(a), b and _derivative(b))
 
 
 @dataclass

@@ -65,7 +65,6 @@ class SupEstimate:
 
     value: float
     argmax: complex
-    resolution: int
 
 
 @dataclass
@@ -74,7 +73,6 @@ class LimitVerdict:
 
     tag: str                      # vanishes | bounded_nonvanishing | unbounded | inconclusive
     samples: list                 # (parameter, value) pairs, parameter monotone
-    thresholds: dict
     flags: list = field(default_factory=list)
 
     @property
@@ -252,7 +250,7 @@ def grid_sup(sampler, region, resolution):
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, arg = float(vals[k]), complex(ring[k])
-    return SupEstimate(best, arg, resolution)
+    return SupEstimate(best, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +268,10 @@ def classify_sequence(samples, slope_rule=False):
     1/log-type decay produced by Carleson-box averages.
     """
     tol_v, tol_u = CONFIG.tol_vanish, CONFIG.tol_unbounded
-    thresholds = {"tol_vanish": tol_v, "tol_unbounded": tol_u}
     samples = [(p, v) for p, v in samples if math.isfinite(v)]
     flags = []
     if len(samples) < 4:
-        return LimitVerdict("inconclusive", samples, thresholds,
-                            ["too few finite samples"])
+        return LimitVerdict("inconclusive", samples, ["too few finite samples"])
     vals = np.array([v for _, v in samples], dtype=float)
     tail = vals[-min(8, len(vals)):]
     last = float(tail[-1])
@@ -307,7 +303,7 @@ def classify_sequence(samples, slope_rule=False):
         elif last < tol_v:
             # dipped below tolerance without a clean decreasing tail
             tag = "vanishes" if np.max(tail) < tol_v * 10 else "inconclusive"
-    return LimitVerdict(tag, samples, thresholds, flags)
+    return LimitVerdict(tag, samples, flags)
 
 
 def radial_schedule():

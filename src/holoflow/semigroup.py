@@ -371,12 +371,12 @@ def koenigs(gen) -> _expr.FunctionHandle:
             z = complex(z)
             if abs(z - tau) < 1e-9:
                 return 1.0 + 0.0j
-            return h(z) * (-lam / gen.G(z))
+            return h(z) * (-lam / _expr.evaluate(gen.G, z))
 
         return _expr.FunctionHandle(h, hp)
 
     def hp_ne(z):
-        return 1j / gen.G(z)
+        return 1j / _expr.evaluate_array(gen.G, z)
 
     def h_ne(z):
         return line_integral(hp_ne, 0.0, complex(z))

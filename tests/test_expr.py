@@ -1,6 +1,8 @@
 """Expression trees: parsing, differentiation, evaluation."""
 
+import ast
 import cmath
+import inspect
 import multiprocessing
 import os
 import queue
@@ -10,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from holoflow import expr
+from holoflow import cli, expr, volterra
 from holoflow.expr import EvalDomainError, ParseDiagnostic
 
 CORPUS = [
@@ -118,6 +120,83 @@ def test_derivative_matches_central_difference(src):
 def test_second_derivative_of_square():
     d2 = expr.differentiate(expr.differentiate(expr.parse("(1 - z)^2")))
     assert _eval(d2, 0.37 + 0.11j) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the derivative table against the per-class rules it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_derivative(node):
+    """The per-class _d methods the _DERIVATIVE table replaced, with the same
+    smart-constructor calls."""
+    d = _reference_derivative
+    if isinstance(node, expr.Const):
+        return expr.Const(0.0)
+    if isinstance(node, expr.Var):
+        return expr.Const(1.0)
+    if isinstance(node, expr.Add):
+        return expr.add(d(node.a), d(node.b))
+    if isinstance(node, expr.Sub):
+        return expr.sub(d(node.a), d(node.b))
+    if isinstance(node, expr.Mul):
+        return expr.add(expr.mul(d(node.a), node.b), expr.mul(node.a, d(node.b)))
+    if isinstance(node, expr.Div):
+        num = expr.sub(expr.mul(d(node.a), node.b), expr.mul(node.a, d(node.b)))
+        return expr.div(num, expr.mul(node.b, node.b))
+    if isinstance(node, expr.Neg):
+        return expr.neg(d(node.a))
+    if isinstance(node, expr.Pow):
+        return expr.mul(expr.mul(expr.Const(node.p), expr.Pow(node.a, node.p - 1.0)),
+                        d(node.a))
+    if isinstance(node, expr.Exp):
+        return expr.mul(expr.Exp(node.a), d(node.a))
+    if isinstance(node, expr.Log):
+        return expr.div(d(node.a), node.a)
+    if isinstance(node, expr.Sqrt):
+        return expr.div(d(node.a), expr.mul(expr.Const(2.0), expr.Sqrt(node.a)))
+    raise TypeError("unknown node %s" % type(node).__name__)
+
+
+def _structure(node):
+    """A tree as nested tuples: node type, then each field in slot order,
+    floats by their bits."""
+    def field(v):
+        if isinstance(v, expr.HoloExpr):
+            return _structure(v)
+        if isinstance(v, complex):
+            return (v.real.hex(), v.imag.hex())
+        return v.hex()
+    return (type(node).__name__,) + tuple(field(getattr(node, s))
+                                          for s in type(node).__slots__)
+
+
+DERIVATIVE_SOURCES = sorted(set(CORPUS) | set(cli.GENERATOR_CORPUS)
+                            | set(cli.FUNCTION_CORPUS) | set(volterra.STANDARD_FAMILY)
+                            | {"sqrt(1 + z)*exp(z)", "-(0.5)^2", "i*e"})
+
+
+@pytest.mark.parametrize("src", DERIVATIVE_SOURCES)
+def test_derivative_table_builds_the_per_class_trees(src):
+    tree = expr.parse(src)
+    d1 = expr.differentiate(tree)
+    assert _structure(d1) == _structure(_reference_derivative(tree))
+    assert _structure(expr.differentiate(d1)) == \
+        _structure(_reference_derivative(_reference_derivative(tree)))
+
+
+def test_every_node_kind_has_one_rule_in_each_table():
+    # a new node kind must join both passes: _DERIVATIVE, and _UFUNC or one
+    # of the `cls is X` cases of _walk
+    kinds = {c for c in vars(expr).values()
+             if isinstance(c, type) and issubclass(c, expr.HoloExpr)
+             and c is not expr.HoloExpr}
+    walk_cases = {vars(expr)[n.comparators[0].id]
+                  for n in ast.walk(ast.parse(inspect.getsource(expr._walk)))
+                  if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Is)
+                  and isinstance(n.left, ast.Name) and n.left.id == "cls"}
+    assert set(expr._DERIVATIVE) == kinds
+    assert set(expr._UFUNC) | walk_cases == kinds
+    assert not set(expr._UFUNC) & walk_cases
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,13 @@ def _scalar_newton_zero(gen, seed):
     reference its results must equal bit for bit."""
     z = complex(seed)
     try:
-        fz = abs(gen.G(z))
+        fz = abs(expr.evaluate(gen.G, z))
     except expr.EvalDomainError:
         fz = math.inf
     for _ in range(60):
         try:
-            g = gen.G(z)
-            dg = gen.dG(z)
+            g = expr.evaluate(gen.G, z)
+            dg = expr.evaluate(gen.dG, z)
         except expr.EvalDomainError:
             return None
         if abs(dg) == 0.0:
@@ -154,7 +154,7 @@ def _scalar_newton_zero(gen, seed):
         for _ in range(30):
             cand = z - lam * step
             try:
-                fc = abs(gen.G(cand))
+                fc = abs(expr.evaluate(gen.G, cand))
             except expr.EvalDomainError:
                 fc = math.inf
             if fc < fz:
@@ -213,7 +213,8 @@ def _scalar_boundary_lambda(gen, tau):
     samples = []
     for _, r in quad.radial_schedule():
         try:
-            v = (tau.conjugate() * gen.G(r * tau)).real / (1.0 - r)
+            g = expr.evaluate(gen.G, r * tau)
+            v = (tau.conjugate() * g).real / (1.0 - r)
         except expr.EvalDomainError:
             continue
         if math.isfinite(v):

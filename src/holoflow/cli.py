@@ -366,7 +366,9 @@ def main(argv=None) -> int:
     except ParseDiagnostic as exc:
         return _error_doc(EXIT_PARSE, exc)
     except (AdmissibilityError, ClassificationError, EvalDomainError,
-            ValueError) as exc:
+            ValueError, RecursionError) as exc:
+        # RecursionError: an expression nested deeper than the recursive
+        # parse, differentiation and evaluation of its tree can reach
         return _error_doc(EXIT_DOMAIN, exc)
     except (QuadFailure, FlowBlowupError, ArithmeticError) as exc:
         return _error_doc(EXIT_NUMERIC, exc)

@@ -38,6 +38,11 @@ from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fone, fzero, from_int, mpc_abs, mpc_div, mpc_log,
+                          mpc_sub, mpf_add, mpf_asin, mpf_asinh,
+                          mpf_cosh_sinh, mpf_div, mpf_ge, mpf_le, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int,
+                          mpf_sin, mpf_sqrt, mpf_sub, round_nearest)
 
 from . import spaces
 from .expr import FunctionHandle
@@ -94,6 +99,23 @@ class BlockPropertyError(Exception):
 # ---------------------------------------------------------------------------
 # gap-safe hyperbolic geometry in extended precision
 # ---------------------------------------------------------------------------
+#
+# The hot formulas (_box_halfwidth, _one_minus_z, _beta_mp, the symbol
+# densities, the _mp_ring node loop and the F_n sums) are straight-line
+# mpmath.libmp kernels on _mpf_/_mpc_ tuples.  Each mpf/mpc wrapper
+# operation of the formula in its docstring is one libmp call on the same
+# operands in the same order, at mp.mp.prec with round-to-nearest, which is
+# the call the wrapper makes: int * x is mpf_mul_int, x / 2 is mpf_div by
+# from_int(2), 1 - x is mpf_sub(fone, x), x ** 2 is mpf_pow_int, 1 - c is
+# mpc_sub((fone, fzero), c), abs(c) is mpc_abs and mp.log(c) is mpc_log.  A
+# subexpression the formula repeats is computed once.  So every bit is that
+# of the wrapper form; the kernels only skip the wrappers' object traffic.
+
+_RND = round_nearest
+_TWO = from_int(2)
+_C_ONE = (fone, fzero)
+_mpf, _mpc = mp.mp.make_mpf, mp.mp.make_mpc
+
 
 def _midpoint_gap(gap):
     """Gap of the hyperbolic midpoint w* of [0, w]: exact identity
@@ -119,22 +141,43 @@ def _box_halfwidth(gap, length):
     """Angular halfwidth of the box section at gap; None if empty.
 
     cos(dtheta) >= (1+r^2) cos(pi l)/(2r); stable form via
-    1 - x = 2 sin^2(h/2) (1+q) - q with q = gap^2/(2(1-gap))."""
-    h = mp.pi * length
-    q = gap * gap / (2 * (1 - gap))
-    one_minus_x = 2 * mp.sin(h / 2) ** 2 * (1 + q) - q
-    if one_minus_x <= 0:
+    1 - x = 2 sin^2(h/2) (1+q) - q with q = gap^2/(2(1-gap)).  A libmp
+    kernel, one call per wrapper operation and so the same bits, of
+    h = mp.pi * length, q = gap * gap / (2 * (1 - gap)),
+    one_minus_x = 2 * mp.sin(h / 2) ** 2 * (1 + q) - q and the halfwidth
+    2 * mp.asin(mp.sqrt(one_minus_x / 2)), mp.pi from one_minus_x >= 2."""
+    prec, g = mp.mp.prec, gap._mpf_
+    h = mpf_mul(mpf_pi(prec, _RND), length._mpf_, prec, _RND)
+    q = mpf_div(mpf_mul(g, g, prec, _RND),
+                mpf_mul_int(mpf_sub(fone, g, prec, _RND), 2, prec, _RND),
+                prec, _RND)
+    sin_sq = mpf_pow_int(mpf_sin(mpf_div(h, _TWO, prec, _RND), prec, _RND),
+                         2, prec, _RND)
+    one_minus_x = mpf_sub(mpf_mul(mpf_mul_int(sin_sq, 2, prec, _RND),
+                                  mpf_add(q, fone, prec, _RND), prec, _RND),
+                          q, prec, _RND)
+    if mpf_le(one_minus_x, fzero):
         return None
-    if one_minus_x >= 2:
+    if mpf_ge(one_minus_x, _TWO):
         return mp.pi
-    return 2 * mp.asin(mp.sqrt(one_minus_x / 2))
+    root = mpf_sqrt(mpf_div(one_minus_x, _TWO, prec, _RND), prec, _RND)
+    return _mpf(mpf_mul_int(mpf_asin(root, prec, _RND), 2, prec, _RND))
 
 
 def _one_minus_z(theta, gap):
-    """1 - z for z = (1-gap) e^{i theta}, cancellation-free parts."""
-    re = gap + (1 - gap) * 2 * mp.sin(theta / 2) ** 2
-    im = -(1 - gap) * mp.sin(theta)
-    return mp.mpc(re, im)
+    """1 - z for z = (1-gap) e^{i theta}, cancellation-free parts: a libmp
+    kernel, one call per wrapper operation and so the same bits, of
+    mp.mpc(gap + (1 - gap) * 2 * mp.sin(theta / 2) ** 2,
+           -(1 - gap) * mp.sin(theta))."""
+    prec, g = mp.mp.prec, gap._mpf_
+    omg = mpf_sub(fone, g, prec, _RND)
+    sin_sq = mpf_pow_int(mpf_sin(mpf_div(theta._mpf_, _TWO, prec, _RND),
+                                 prec, _RND), 2, prec, _RND)
+    re = mpf_add(g, mpf_mul(mpf_mul_int(omg, 2, prec, _RND), sin_sq,
+                            prec, _RND), prec, _RND)
+    im = mpf_mul(mpf_neg(omg, prec, _RND),
+                 mpf_sin(theta._mpf_, prec, _RND), prec, _RND)
+    return _mpc((re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +210,38 @@ def _beta_mp(theta_w, gap_w, gap_star, theta_z, gap_z):
         N = T / D,  T = A - B (1-s) e^{i phi},  A = 1 + (1-rho)(1-rho*),
         B = (2 - rho - rho*),  D = 1 - (1-rho*)(1-s) e^{i phi},
     and Re T = rho rho* + B ((1-s) 2 sin^2(phi/2) + s) -- all terms positive.
+
+    A libmp kernel, one call per wrapper operation and so the same bits,
+    of the wrapper form
+        phi = theta_z - theta_w;  B = 2 - rho - rho_s
+        sin2 = 2 * mp.sin(phi / 2) ** 2
+        T = mp.mpc(rho * rho_s + B * ((1 - s) * sin2 + s),
+                   -B * (1 - s) * mp.sin(phi))
+        P = (1 - rho_s) * (1 - s)
+        D = mp.mpc((rho_s + s - rho_s * s) + P * sin2, -P * mp.sin(phi))
+        return 1 - mp.log(T / D)
     """
-    rho, rho_s = gap_w, gap_star
-    phi = theta_z - theta_w
-    s = gap_z
-    B = 2 - rho - rho_s
-    sin2 = 2 * mp.sin(phi / 2) ** 2
-    T = mp.mpc(rho * rho_s + B * ((1 - s) * sin2 + s),
-               -B * (1 - s) * mp.sin(phi))
-    P = (1 - rho_s) * (1 - s)
-    D = mp.mpc((rho_s + s - rho_s * s) + P * sin2, -P * mp.sin(phi))
-    return 1 - mp.log(T / D)
+    prec = mp.mp.prec
+    rho, rho_s, s = gap_w._mpf_, gap_star._mpf_, gap_z._mpf_
+    phi = mpf_sub(theta_z._mpf_, theta_w._mpf_, prec, _RND)
+    B = mpf_sub(mpf_sub(_TWO, rho, prec, _RND), rho_s, prec, _RND)
+    sin2 = mpf_mul_int(
+        mpf_pow_int(mpf_sin(mpf_div(phi, _TWO, prec, _RND), prec, _RND),
+                    2, prec, _RND), 2, prec, _RND)
+    sin_phi = mpf_sin(phi, prec, _RND)
+    oms = mpf_sub(fone, s, prec, _RND)
+    T = (mpf_add(mpf_mul(rho, rho_s, prec, _RND),
+                 mpf_mul(B, mpf_add(mpf_mul(oms, sin2, prec, _RND), s,
+                                    prec, _RND), prec, _RND), prec, _RND),
+         mpf_mul(mpf_mul(mpf_neg(B, prec, _RND), oms, prec, _RND), sin_phi,
+                 prec, _RND))
+    P = mpf_mul(mpf_sub(fone, rho_s, prec, _RND), oms, prec, _RND)
+    D = (mpf_add(mpf_sub(mpf_add(rho_s, s, prec, _RND),
+                         mpf_mul(rho_s, s, prec, _RND), prec, _RND),
+                 mpf_mul(P, sin2, prec, _RND), prec, _RND),
+         mpf_mul(mpf_neg(P, prec, _RND), sin_phi, prec, _RND))
+    return _mpc(mpc_sub(_C_ONE, mpc_log(mpc_div(T, D, prec, _RND), prec,
+                                        _RND), prec, _RND))
 
 
 def _float_block(wc, wsc):
@@ -247,8 +311,8 @@ def verify_block(w, bits=None) -> BlockReport:
         tt = np.arange(40) * (2.0 * math.pi / 40)
         zf = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
         vals = handle.val(zf)
-        samples = [(mp.mpf(t), mp.mpf(1.0) - mp.mpf(r))
-                   for r in (0.9999999, 1 - 1e-9) for t in tt]
+        samples = [(mp.mpf(t), s) for r in (0.9999999, 1 - 1e-9)
+                   for s in [mp.mpf(1.0) - mp.mpf(r)] for t in tt]
         mp_vals = [_beta_mp(theta, gap, gap_star, t, s) for t, s in samples]
         min_re = min(float(np.min(vals.real)),
                      min(float(v.real) for v in mp_vals))
@@ -256,29 +320,42 @@ def verify_block(w, bits=None) -> BlockReport:
                      max(abs(float(v.imag)) for v in mp_vals))
 
         # (iv): Re beta / log(e/(1-|w|^2)) over the box S(I_w), box coordinates
-        denom = 1 + mp.log(1 / (gap * (2 - gap)))
-        gmax = _box_gap_max(params.arc_w)
-        c4 = mp.inf
+        # at g = gmax * fr / 2 ** k, angle theta + t * half, the min of
+        # v.real / denom: libmp calls as in the kernels
+        prec = mp.mp.prec
+        denom = (1 + mp.log(1 / (gap * (2 - gap))))._mpf_
+        gmax = _box_gap_max(params.arc_w)._mpf_
+        fracs = (mp.mpf("0.99")._mpf_, mp.mpf("0.5")._mpf_)
+        offsets = tuple(t._mpf_ for t in (-mp.mpf("0.999"), mp.mpf(0),
+                                          mp.mpf("0.999")))
+        c4 = mp.inf._mpf_
         for k in range(40):
-            for fr in (mp.mpf("0.99"), mp.mpf("0.5")):
-                g = gmax * fr / 2 ** k
+            for fr in fracs:
+                g = _mpf(mpf_div(mpf_mul(gmax, fr, prec, _RND),
+                                 from_int(2 ** k), prec, _RND))
                 half = _box_halfwidth(g, params.arc_w)
                 if half is None:
                     continue
-                for t in (-mp.mpf("0.999"), mp.mpf(0), mp.mpf("0.999")):
-                    v = _beta_mp(theta, gap, gap_star, theta + t * half, g)
-                    c4 = min(c4, v.real / denom)
-        c4 = float(c4)
+                for t in offsets:
+                    tz = mpf_add(theta._mpf_, mpf_mul(t, half._mpf_, prec,
+                                                      _RND), prec, _RND)
+                    v = _beta_mp(theta, gap, gap_star, _mpf(tz), g)._mpc_[0]
+                    v = mpf_div(v, denom, prec, _RND)
+                    c4 = v if mpf_lt(v, c4) else c4
+        c4 = float(_mpf(c4))
 
         # (v): |beta| outside S(I_{w*}); float grid plus points just outside
         gsmax = _box_gap_max(params.arc_wstar)
         hs = mp.pi * params.arc_wstar
         edge = [(theta + sgn * (1 + mp.mpf("1e-6")) * hs, mp.mpf("1e-9"))
                 for sgn in (-1, 1)]
+        # the section halfwidth at each distinct gap, of which there are 3
+        hw_at = {s: _box_halfwidth(s, params.arc_wstar)
+                 for s in {s for _, s in samples + edge}}
         outside = []     # the samples reuse mp_vals; only edge points are new
         for (t, s), v in zip(samples + edge, mp_vals + [None, None]):
             dphi = abs(mp.fmod(t - theta + mp.pi, 2 * mp.pi) - mp.pi)
-            hw = _box_halfwidth(s, params.arc_wstar)
+            hw = hw_at[s]
             if s > gsmax or hw is None or dphi > hw:
                 v = _beta_mp(theta, gap, gap_star, t, s) if v is None else v
                 outside.append(abs(v))
@@ -328,9 +405,17 @@ class ConstructionSymbol:
 
 class _LogHalfSymbol(ConstructionSymbol):
     def base_density(self, theta, gap):
-        omz = _one_minus_z(theta, gap)
-        L = 1 - mp.log(omz)
-        return gap * (2 - gap) / (4 * abs(omz) ** 2 * abs(L))
+        """A libmp kernel, one call per wrapper operation and so the same
+        bits, of omz = _one_minus_z(theta, gap), L = 1 - mp.log(omz) and
+        gap * (2 - gap) / (4 * abs(omz) ** 2 * abs(L))."""
+        prec, g = mp.mp.prec, gap._mpf_
+        omz = _one_minus_z(theta, gap)._mpc_
+        L = mpc_sub(_C_ONE, mpc_log(omz, prec, _RND), prec, _RND)
+        den = mpf_mul(mpf_mul_int(mpf_pow_int(mpc_abs(omz, prec, _RND), 2,
+                                              prec, _RND), 4, prec, _RND),
+                      mpc_abs(L, prec, _RND), prec, _RND)
+        return _mpf(mpf_div(mpf_mul(g, mpf_sub(_TWO, g, prec, _RND),
+                                    prec, _RND), den, prec, _RND))
 
     def log_density(self, p):
         lre = np.logaddexp(p.lg, p.l1mg + p.lsin2)       # Re(1 - z) > 0
@@ -367,17 +452,29 @@ def _mp_ring(density, half, gap, weight, xv, wv):
     phi = gap sinh(v) clusters the nodes at 0, which resolves peaks there
     at any scale >= the gap.  The density must be even in the angle, to the
     bit: each node pair +-phi costs one call, density(phi, gap), counted
-    twice."""
-    V = mp.asinh(half / gap)
-    mid_v, half_v = V / 2, V / 2
-    ring = mp.mpf(0)
+    twice.
+
+    A libmp kernel, one call per wrapper operation and so the same bits,
+    of V = mp.asinh(half / gap), mid_v = half_v = V / 2 and
+    per node v = mid_v + half_v * x, phi = gap * mp.sinh(v),
+    jac = gap * mp.cosh(v) * half_v * w, ring += jac * (d + d), then
+    weight * ring * (1 - gap) / mp.pi; one mpf_cosh_sinh gives both
+    mp.cosh(v) and mp.sinh(v)."""
+    prec, g = mp.mp.prec, gap._mpf_
+    half_v = mpf_div(mpf_asinh(mpf_div(half._mpf_, g, prec, _RND), prec,
+                               _RND), _TWO, prec, _RND)
+    ring = fzero
     for x, w in zip(xv, wv):
-        v = mid_v + half_v * x
-        phi = gap * mp.sinh(v)
-        jac = gap * mp.cosh(v) * half_v * w
-        d = density(phi, gap)
-        ring += jac * (d + d)
-    return weight * ring * (1 - gap) / mp.pi
+        v = mpf_add(half_v, mpf_mul(half_v, x._mpf_, prec, _RND), prec, _RND)
+        cosh, sinh = mpf_cosh_sinh(v, prec, _RND)
+        jac = mpf_mul(mpf_mul(mpf_mul(g, cosh, prec, _RND), half_v, prec,
+                              _RND), w._mpf_, prec, _RND)
+        d = density(_mpf(mpf_mul(g, sinh, prec, _RND)), gap)._mpf_
+        ring = mpf_add(ring, mpf_mul(jac, mpf_add(d, d, prec, _RND), prec,
+                                     _RND), prec, _RND)
+    total = mpf_mul(mpf_mul(weight._mpf_, ring, prec, _RND),
+                    mpf_sub(fone, g, prec, _RND), prec, _RND)
+    return _mpf(mpf_div(total, mpf_pi(prec, _RND), prec, _RND))
 
 
 def _panel_nodes(edges, xg, wg):
@@ -611,22 +708,29 @@ class ConstructionState:
                 for s in self.steps]
 
     def _F_parts(self, theta, gap):
-        """(Re, Im) of F_n = 1 + sum_k a_k beta_k at (theta, gap)."""
+        """(Re, Im) of F_n = 1 + sum_k a_k beta_k at (theta, gap) as _mpf_
+        tuples: a libmp kernel, one call per wrapper operation and so the
+        same bits, of re, im = mp.mpf(1), mp.mpf(0) and per block
+        re += a * b.real, im += a * b.imag."""
         beta = self._memo or _beta_mp
-        re, im = mp.mpf(1), mp.mpf(0)
+        prec = mp.mp.prec
+        re, im = fone, fzero
         for a, tw, gw, gs in self.blocks():
-            b = beta(tw, gw, gs, theta, gap)
-            re += a * b.real
-            im += a * b.imag
+            b_re, b_im = beta(tw, gw, gs, theta, gap)._mpc_
+            re = mpf_add(re, mpf_mul(a._mpf_, b_re, prec, _RND), prec, _RND)
+            im = mpf_add(im, mpf_mul(a._mpf_, b_im, prec, _RND), prec, _RND)
         return re, im
 
     def re_F(self, theta, gap):
         """Re F_n(z) in extended precision (F_0 = 1)."""
-        return self._F_parts(theta, gap)[0]
+        return _mpf(self._F_parts(theta, gap)[0])
 
     def abs_F_sq(self, theta, gap):
+        """re * re + im * im of _F_parts, as libmp calls (same bits)."""
+        prec = mp.mp.prec
         re, im = self._F_parts(theta, gap)
-        return re * re + im * im
+        return _mpf(mpf_add(mpf_mul(re, re, prec, _RND),
+                            mpf_mul(im, im, prec, _RND), prec, _RND))
 
     def log_abs_F_sq(self, p):
         """Float log of abs_F_sq at the engine's _Points p."""
@@ -789,10 +893,12 @@ def _witness(describe, symbol, n_max, bits) -> ConstructionState:
             return _Density(lambda t, g: part(t, g) * weight(t, g),
                             lambda pts: log_part(pts) + space.log_weight(pts))
 
+        zero = mp.mpf(0)
+
         def beta_density(gw, gsw):
             lr, lrs = _log(gw), _log(gsw)
             return density(
-                lambda t, g: beta(mp.mpf(0), gw, gsw, t, g).real ** p,
+                lambda t, g: beta(zero, gw, gsw, t, g).real ** p,
                 lambda pts: p * np.log(_beta_float(lr, lrs, pts)[0]))
 
         def block_value(gw, gsw):
@@ -853,11 +959,20 @@ def _certify_norm_control(state, symbol):
         (1.0 - float(gs)) * complex(mp.cos(th), mp.sin(th))).val)
         for a, th, g, gs in state.blocks()]
 
+    # the seminorms of F_0 ... F_n sample the same point arrays: g' and each
+    # block are evaluated once per distinct array, which gives the same values
+    at = {}
+
     def der(z, k):              # scale F_k g', F_k = 1 + sum_{i<=k} a_i beta_i
-        F = np.ones_like(np.asarray(z, dtype=complex))
-        for a, val in blocks[:k]:
-            F = F + a * val(z)
-        return F * scale * gp(z)
+        z = np.asarray(z, dtype=complex)
+        key = (z.shape, z.tobytes())
+        if key not in at:
+            at[key] = gp(z), [val(z) for _, val in blocks]
+        g, vals = at[key]
+        F = np.ones_like(z)
+        for (a, _), v in zip(blocks[:k], vals):
+            F = F + a * v
+        return F * scale * g
 
     norms = []
     for k in range(state.n + 1):

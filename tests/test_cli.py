@@ -283,6 +283,17 @@ def test_non_finite_angle_exits_3(capsys, monkeypatch, argv):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("term, count", [("z^2", 600), ("z", 3000)])
+def test_expression_nested_too_deeply_exits_3(capsys, term, count):
+    # a sum of count terms is a tree count levels deep: deeper than the
+    # recursive evaluation (z^2) or differentiation (z) can walk
+    code, doc = run_json(capsys, "norm", "--function",
+                         " + ".join([term] * count))    # one JSON document
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == "RecursionError"
+
+
 def test_flow_reaching_the_guard_annulus_exits_4(capsys):
     code, doc = run_json(capsys, "flow", "--generator", "z", "--z0", "0.5",
                          "--t", "10")       # exactly one JSON document

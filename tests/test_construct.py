@@ -246,6 +246,137 @@ def test_folded_quadratures_equal_the_unfolded_sums():
 
 
 # ---------------------------------------------------------------------------
+# the libmp kernels against the wrapper forms they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_box_halfwidth(gap, length):
+    h = mp.pi * length
+    q = gap * gap / (2 * (1 - gap))
+    one_minus_x = 2 * mp.sin(h / 2) ** 2 * (1 + q) - q
+    if one_minus_x <= 0:
+        return None
+    if one_minus_x >= 2:
+        return mp.pi
+    return 2 * mp.asin(mp.sqrt(one_minus_x / 2))
+
+
+def _reference_one_minus_z(theta, gap):
+    re = gap + (1 - gap) * 2 * mp.sin(theta / 2) ** 2
+    im = -(1 - gap) * mp.sin(theta)
+    return mp.mpc(re, im)
+
+
+def _reference_base_density(theta, gap):
+    omz = _reference_one_minus_z(theta, gap)
+    L = 1 - mp.log(omz)
+    return gap * (2 - gap) / (4 * abs(omz) ** 2 * abs(L))
+
+
+def _reference_beta(theta_w, gap_w, gap_star, theta_z, gap_z):
+    rho, rho_s = gap_w, gap_star
+    phi = theta_z - theta_w
+    s = gap_z
+    B = 2 - rho - rho_s
+    sin2 = 2 * mp.sin(phi / 2) ** 2
+    T = mp.mpc(rho * rho_s + B * ((1 - s) * sin2 + s),
+               -B * (1 - s) * mp.sin(phi))
+    P = (1 - rho_s) * (1 - s)
+    D = mp.mpc((rho_s + s - rho_s * s) + P * sin2, -P * mp.sin(phi))
+    return 1 - mp.log(T / D)
+
+
+def _reference_ring(density, half, gap, weight, xv, wv):
+    V = mp.asinh(half / gap)
+    mid_v, half_v = V / 2, V / 2
+    ring = mp.mpf(0)
+    for x, w in zip(xv, wv):
+        v = mid_v + half_v * x
+        phi = gap * mp.sinh(v)
+        jac = gap * mp.cosh(v) * half_v * w
+        d = density(phi, gap)
+        ring += jac * (d + d)
+    return weight * ring * (1 - gap) / mp.pi
+
+
+def _reference_F_parts(state, theta, gap):
+    re, im = mp.mpf(1), mp.mpf(0)
+    for a, tw, gw, gs in state.blocks():
+        b = _reference_beta(tw, gw, gs, theta, gap)
+        re += a * b.real
+        im += a * b.imag
+    return re, im
+
+
+def _kernel_args(rng):
+    """A seeded (angle, gap): gaps 2^-e u down to 2^-20000, angles 0, +-pi,
+    negative, far below the gap and of its order."""
+    gap = mp.mpf(rng.uniform(0.25, 1.0)) * mp.mpf(2) ** -rng.choice(
+        (0, 1, 3, 11, 24, 60, 168, 1280, 1292, 20000))
+    theta = rng.choice((mp.mpf(0), mp.pi, -mp.pi,
+                        mp.mpf(rng.uniform(-math.pi, math.pi)),
+                        -gap * rng.uniform(0, 8), gap * rng.uniform(0, 8),
+                        mp.mpf(rng.uniform(-1, 1)) * mp.mpf(2) ** -200))
+    return +theta, gap
+
+
+# seeded arguments per precision; 4096 bits is the slowest
+KERNEL_ARGS = {53: 40, 256: 40, 512: 24, 4096: 6}
+
+
+def _same(got, want):
+    """The same mpf/mpc bits, or both None."""
+    key = "_mpc_" if hasattr(want, "_mpc_") else "_mpf_"
+    return getattr(got, key, got) == getattr(want, key, want)
+
+
+@pytest.mark.parametrize("bits", sorted(KERNEL_ARGS))
+def test_kernels_keep_the_bits_of_the_wrapper_forms(bits):
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        xv, wv = construct._gl(4)
+        state = ConstructionState("bmoa", "log-half", bits, 1.0, 0.05)
+        for _ in range(3):
+            theta, gap = _kernel_args(rng)
+            state.steps.append({"a": mp.mpf(rng.random()), "theta": theta,
+                                "gap": gap,
+                                "gap_star": construct._midpoint_gap(gap)})
+        for _ in range(KERNEL_ARGS[bits]):
+            theta, gap = _kernel_args(rng)
+            tw, gw = _kernel_args(rng)
+            gs = construct._midpoint_gap(gw)
+            length = mp.mpf(rng.choice((rng.random(), 1.0, 0.5, 1e-9)))
+            half = rng.choice((abs(theta), mp.pi))
+            weight = mp.mpf(rng.random())
+            re, im = _reference_F_parts(state, theta, gap)
+            pairs = [
+                (construct._one_minus_z(theta, gap),
+                 _reference_one_minus_z(theta, gap)),
+                (LOG_HALF_SYMBOL.base_density(theta, gap),
+                 _reference_base_density(theta, gap)),
+                (construct._beta_mp(tw, gw, gs, theta, gap),
+                 _reference_beta(tw, gw, gs, theta, gap)),
+                (construct._box_halfwidth(gap, length),
+                 _reference_box_halfwidth(gap, length)),
+                (state.re_F(theta, gap), re),
+                (state.abs_F_sq(theta, gap), re * re + im * im),
+                (construct._mp_ring(LINEAR_SYMBOL.base_density, half, gap,
+                                    weight, xv, wv),
+                 _reference_ring(LINEAR_SYMBOL.base_density, half, gap,
+                                 weight, xv, wv)),
+            ]
+            for i, (got, want) in enumerate(pairs):
+                assert _same(got, want), (i, theta, gap, tw, gw, length)
+        # one section of each kind: empty, the whole circle, an arc
+        kinds = []
+        for gap, length in ((0.5, 1e-9), (2.0 ** -30, 1.0), (0.01, 0.25)):
+            gap, length = mp.mpf(gap), mp.mpf(length)
+            want = _reference_box_halfwidth(gap, length)
+            kinds.append(None if want is None else want is mp.pi)
+            assert _same(construct._box_halfwidth(gap, length), want)
+    assert kinds == [None, True, False]
+
+
+# ---------------------------------------------------------------------------
 # the log-domain float engine against the mp oracle
 # ---------------------------------------------------------------------------
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import expr as _expr
 from . import quad
@@ -286,6 +285,7 @@ def _solve(gen, z0, t, t_eval, rtol, atol):
     """RK45 for dw/dt = G(w) and dJ/dt = G'(w) J from the points z0 (J = 1)
     up to time t; FlowBlowupError if a trajectory reaches the guard annulus
     |w| = 1 - eps_min first."""
+    from scipy.integrate import solve_ivp       # only a flow pays the import
     n = z0.size
     guard = 1.0 - quad.CONFIG.eps_min
 

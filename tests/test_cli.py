@@ -242,7 +242,7 @@ def test_depth_above_cap_exits_3(capsys, monkeypatch, space):
 ])
 def test_out_of_range_times_and_start_points_exit_3(capsys, monkeypatch,
                                                      argv):
-    monkeypatch.setattr(cli.semigroup, "solve_ivp", _must_not_run)
+    monkeypatch.setattr(cli.semigroup, "_solve", _must_not_run)
     monkeypatch.setattr(cli.volterra, "flow_points", _must_not_run)
     code, doc = run_json(capsys, *argv)       # exactly one JSON document
     assert code == cli.EXIT_DOMAIN

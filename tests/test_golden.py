@@ -12,7 +12,10 @@ file in the same change and says why.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from holoflow import cli
 
 GOLDEN = Path(__file__).with_name("golden")
+SRC = Path(__file__).resolve().parents[1] / "src"
 CASES = json.loads((GOLDEN / "argv.json").read_text())
 
 _DECIMAL = re.compile(r"-?(\d+)(?:\.(\d*))?(?:[eE][-+]?\d+)?")
@@ -95,3 +99,42 @@ def test_golden_comparator_tolerates_float_noise_only():
     ]
     for want, got in wrong:
         assert golden_mismatches(want, got) != []
+
+
+# One fresh interpreter: which scipy modules are loaded after building the
+# parser, after golden cases of commands that never integrate a flow, and
+# after a flow; with each case's stdout.
+_COLD_START = """
+import contextlib, io, json, sys
+import holoflow.cli as cli
+cli.build_parser()
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"parser": loaded()}
+for case, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    seen[case] = {"code": code, "out": out.getvalue(), "scipy": loaded()}
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_a_flow():
+    cases = ["01", "03", "04", "26", "02"]       # classify, koenigs, gamma,
+                                                 # block-verify, then flow
+    env = {k: v for k, v in os.environ.items()
+           if k != "HOLOFLOW_PRECISION_BITS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START,
+         json.dumps([(c, CASES[c]) for c in cases])],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    seen = json.loads(proc.stdout)
+    assert seen["parser"] == []
+    for case in cases:
+        assert seen[case]["code"] == cli.EXIT_OK
+        want = json.loads((GOLDEN / (case + ".json")).read_text())
+        assert golden_mismatches(want, json.loads(seen[case]["out"])) == []
+        if case != "02":
+            assert seen[case]["scipy"] == [], case
+    assert "scipy.integrate" in seen["02"]["scipy"]

@@ -7,7 +7,10 @@ Evaluation accepts either a scalar complex or a numpy array of points and is
 pure, so trees can be shared freely between workers.  Arrays are evaluated in
 2^14-point chunks, one tree walk each, on a thread pool with one worker per
 usable CPU; every point takes the same numpy loops whatever the chunking, so
-the results are bit-identical and deterministic for any worker count.
+the results are bit-identical and deterministic for any worker count.  The
+same pool runs the independent jobs of a request (the flows of a Sarason
+probe, the members of a Volterra probe); an evaluation called on one of its
+workers runs its chunks in that worker, with the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -202,10 +206,12 @@ def evaluate_array(expr, z):
 
 
 def _map(fn, items):
-    """[fn(x) for x in items] on the pool; a single item runs in this thread.
-    fn must not call _map (evaluate_array included): a task that waits on
-    tasks queued behind it deadlocks the pool."""
-    return list((_POOL.map if len(items) > 1 else map)(fn, items))
+    """[fn(x) for x in items], on the pool when there are two or more items.
+    Called on one of the pool's workers, it runs the items in that thread,
+    so fn may itself call _map (evaluate_array included): a task never waits
+    on tasks queued behind it."""
+    pooled = len(items) > 1 and not getattr(_WORKER, "marked", False)
+    return list((_POOL.map if pooled else map)(fn, items))
 
 
 _CHUNK = 1 << 14
@@ -229,12 +235,19 @@ _DERIVATIVE = {
 }
 
 
+_WORKER = threading.local()       # .marked is True on the pool's workers
+
+
+def _mark_worker():
+    _WORKER.marked = True
+
+
 def _new_pool():
     # One worker per usable CPU; the threads start on the first submit.  A
     # forked child has none of its parent's threads, so it gets a new pool.
     global _POOL
     n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    _POOL = ThreadPoolExecutor(n)
+    _POOL = ThreadPoolExecutor(n, initializer=_mark_worker)
 
 
 _new_pool()

@@ -379,7 +379,8 @@ class GarsiaIntegrator:
     The density is sampled once on a polar grid with dyadic radial annuli and
     an angular mesh clustered around the given hot angles (where the density
     or the kernel (1-|a|^2)(1-|z|^2)/|1 - conj(a) z|^2 peaks); each query a
-    then costs one kernel dot-product.  The kernel spike at angle arg(a) is
+    then costs one kernel dot-product, made without BLAS so its bits do not
+    depend on the BLAS thread count.  The kernel spike at angle arg(a) is
     only resolved if arg(a) was passed as a hot angle.
     """
 
@@ -399,16 +400,23 @@ class GarsiaIntegrator:
         self._z = z.ravel()
 
     def __call__(self, a_values):
+        # per 2^14-point chunk, d = 1 - conj(a) z and the kernel's einsum
+        # with the base; the chunk sums are added in order
         a = np.atleast_1d(np.asarray(a_values, dtype=complex))
         out = np.empty(a.size)
-        kernel, t = np.empty(self._z.size), np.empty(_CHUNK, dtype=complex)
+        d, q, im = (np.empty(_CHUNK, dtype=complex), np.empty(_CHUNK),
+                    np.empty(_CHUNK))
         for i, ai in enumerate(a):
-            for k in range(0, kernel.size, _CHUNK):     # cache-sized chunks
-                zk, kk = self._z[k:k + _CHUNK], kernel[k:k + _CHUNK]
-                tk = np.multiply(ai.conjugate(), zk, out=t[:zk.size])
-                np.abs(np.subtract(1.0, tk, out=tk), out=kk)
-                np.divide(1.0 - abs(ai) ** 2, np.square(kk, out=kk), out=kk)
-            out[i] = float(self._base @ kernel)
+            scale, total = 1.0 - abs(ai) ** 2, 0.0
+            for k in range(0, self._z.size, _CHUNK):
+                zk = self._z[k:k + _CHUNK]
+                dk = np.multiply(ai.conjugate(), zk, out=d[:zk.size])
+                np.subtract(1.0, dk, out=dk)
+                qk = np.square(dk.real, out=q[:zk.size])
+                qk += np.square(dk.imag, out=im[:zk.size])
+                np.divide(scale, qk, out=qk)
+                total += float(np.einsum("i,i->", self._base[k:k + _CHUNK], qk))
+            out[i] = total
         return out
 
 

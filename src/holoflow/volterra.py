@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .expr import FunctionHandle
+from .expr import FunctionHandle, _map
 from .quad import line_integral
 from .semigroup import T_MAX, checked_time, flow_points
 from .spaces import Weight
@@ -101,12 +101,15 @@ def continuity_probe(gen, f, times, space="bmoa") -> ContinuityProbe:
         raise ValueError("times must be 1 to 8 strictly decreasing values "
                          "in (0, 1]")
     f = FunctionHandle.of(f)
-    values = []
-    for t in times:
+    gen.dG          # G' is built here, so the flows do not race to build it
+
+    def value(t):
         ct = compose_apply(gen, t, f)
-        diff = FunctionHandle(lambda z, c=ct: c.val(z) - f.val(z),
-                              lambda z, c=ct: c.der(z) - f.der(z))
-        values.append(spaces.seminorm(diff, space).value)
+        diff = FunctionHandle(lambda z: ct.val(z) - f.val(z),
+                              lambda z: ct.der(z) - f.der(z))
+        return spaces.seminorm(diff, space).value
+
+    values = _map(value, times)     # one independent flow per time
     floor = min(values)
     decaying = all(b < a for a, b in zip(values, values[1:]))
     if decaying and values[-1] < 0.25 * values[0]:
@@ -141,8 +144,8 @@ def boundedness_probe(g_src, space="bmoa", w=Weight.unit()) -> OperatorProbe:
     finite families give necessary evidence only.
     """
     g = FunctionHandle.from_source(g_src)
-    mnorms, inorms, ratios, growth = [], [], [], []
-    for src in STANDARD_FAMILY:
+
+    def member(src):
         f = FunctionHandle.of(src)
         f0 = abs(complex(f.val(np.array([0.0 + 0.0j]))[0]))
         image = volterra_apply(g, f)
@@ -151,9 +154,10 @@ def boundedness_probe(g_src, space="bmoa", w=Weight.unit()) -> OperatorProbe:
             num = spaces.seminorm(image, space, w, J).value
             den = spaces.seminorm(f, space, w, J).value + f0
             r.append(num / den if den > 0 else math.inf)
-        mnorms.append(den)            # num and den as computed at J = 9
-        inorms.append(num)
-        ratios.append(r[1])
-        growth.append(r[1] / r[0] if r[0] > 0 else math.inf)
+        # num and den as computed at J = 9
+        return den, num, r[1], r[1] / r[0] if r[0] > 0 else math.inf
+
+    rows = _map(member, STANDARD_FAMILY)       # one member per task
+    mnorms, inorms, ratios, growth = map(list, zip(*rows))
     return OperatorProbe(g_src, space, list(STANDARD_FAMILY), mnorms, inorms,
                          ratios, growth)

@@ -6,14 +6,20 @@ import inspect
 import multiprocessing
 import os
 import queue
+import subprocess
+import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holoflow import cli, expr, volterra
 from holoflow.expr import EvalDomainError, ParseDiagnostic
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CORPUS = [
     "1",
@@ -352,6 +358,45 @@ def test_worker_exception_reaches_the_caller():
 
     with pytest.raises(TypeError, match="unknown node"):
         expr.evaluate_array(expr.Add(expr.Var(), Unknown()), _disc_points((2 * CHUNK,)))
+
+
+def test_evaluation_on_a_pool_worker_runs_in_that_worker(monkeypatch):
+    # one task per worker occupies the whole pool; each evaluates more than
+    # one chunk, which a worker must not queue behind itself
+    tree = expr.differentiate(expr.parse(_rotated("(log(e/(1 - z)))^0.5")))
+    z = _disc_points((3 * CHUNK + 5,))
+    want = expr.evaluate_array(tree, z)
+    fill, threads = expr._fill, []
+
+    def recording_fill(*args):
+        threads.append(threading.current_thread())
+        return fill(*args)
+
+    def task():
+        return threading.current_thread(), expr.evaluate_array(tree, z)
+
+    monkeypatch.setattr(expr, "_fill", recording_fill)
+    tasks = [expr._POOL.submit(task) for _ in range(expr._POOL._max_workers)]
+    done = [t.result(timeout=60) for t in tasks]
+    assert all(_same_bytes(got, want) for _, got in done)
+    workers = {thread for thread, _ in done}
+    assert threading.main_thread() not in workers
+    assert set(threads) == workers and len(threads) == 4 * len(tasks)
+
+
+_BLAS_THREADS = "import os, holoflow; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_gives_blas_one_thread_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert proc.stdout.strip() == want
 
 
 def _evaluate_in_child(results, tree, z, want):

@@ -1,8 +1,12 @@
 """Seminorms, vanishing verdicts, weights, Garsia integrals, conditions."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from holoflow.spaces import (Weight, bloch_seminorm, bloch_vanishing,
                              lvmo_check, logbloch_check, minimality,
                              pommerenke_check, seminorm, weight_regularity)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 F_Z = "z"
 F_LOG = "log(e/(1 - z))"
 F_LOGHALF = "(log(e/(1 - z)))^0.5"
@@ -287,27 +292,59 @@ def garsia_quantity(f, a_values):
     return spaces.GarsiaIntegrator(sq, spaces._density_hot_angles(sq) + hot)(a)
 
 
-def test_garsia_chunked_kernel_equals_full_array_expression():
+def test_garsia_chunked_kernel_equals_full_array_expression(monkeypatch):
     # the grid is not a whole number of 2^14-point chunks
     sq = lambda z: np.abs(FunctionHandle.from_source(F_LOG).der(z)) ** 2
     integ = spaces.GarsiaIntegrator(sq, [0.3, 2.0])
     assert integ._z.size % expr._CHUNK != 0 and integ._z.size > expr._CHUNK
     a = np.array([0.0, 0.5, 0.7j, 0.99 * np.exp(0.3j), -0.999999 + 0.0001j])
-    want = [(1.0 - abs(ai) ** 2) / np.abs(1.0 - ai.conjugate() * integ._z) ** 2
-            for ai in a]
-    values = [float(integ._base @ k) for k in want]
+    want = []
+    for ai in a:
+        d = 1.0 - ai.conjugate() * integ._z
+        want.append((1.0 - abs(ai) ** 2) / (d.real ** 2 + d.imag ** 2))
+    chunks = [slice(k, k + expr._CHUNK)
+              for k in range(0, integ._z.size, expr._CHUNK)]
+    # each chunk reduced on its own, then the chunk sums added in order
+    values = [sum(float(np.einsum("i,i->", integ._base[c], k[c]))
+                  for c in chunks) for k in want]
     assert integ(a).tobytes() == np.array(values).tobytes()
 
-    kernels = []
+    einsum, seen = np.einsum, []
 
-    class Recorder:
-        def __matmul__(self, kernel):
-            kernels.append(kernel.copy())
-            return 0.0
+    def recorder(subscripts, base, kernel):
+        seen.append((subscripts, base.copy(), kernel.copy()))
+        return einsum(subscripts, base, kernel)
 
-    integ._base = Recorder()
+    monkeypatch.setattr(np, "einsum", recorder)
     integ(a)
-    assert [k.tobytes() for k in kernels] == [k.tobytes() for k in want]
+    assert [s for s, _, _ in seen] == ["i,i->"] * (a.size * len(chunks))
+    assert [b.tobytes() for _, b, _ in seen] == \
+        [integ._base[c].tobytes() for _ in a for c in chunks]
+    assert [k.tobytes() for _, _, k in seen] == \
+        [k[c].tobytes() for k in want for c in chunks]
+
+
+_GARSIA_QUERIES = """
+import numpy as np
+from holoflow import spaces
+from holoflow.expr import FunctionHandle
+fp = FunctionHandle.from_source("log(e/(1 - z))").der
+integ = spaces.GarsiaIntegrator(lambda z: np.abs(fp(z)) ** 2, [0.3, 2.0])
+a = np.array([0.0, 0.5, 0.7j, 0.99 * np.exp(0.3j), -0.999999 + 0.0001j])
+print(integ(a).tobytes().hex())
+"""
+
+
+def test_garsia_queries_do_not_depend_on_blas_threads():
+    # a BLAS dot product splits long vectors across its threads, which
+    # regroups the sum; the queries make no BLAS call
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+        out.append(subprocess.run(
+            [sys.executable, "-c", _GARSIA_QUERIES], env=env,
+            capture_output=True, text=True, check=True, timeout=120).stdout)
+    assert len(out[0]) == 2 * 8 * 5 + 1 and out[0] == out[1]
 
 
 def _garsia_series_oracle(a, terms=4000):

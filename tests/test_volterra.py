@@ -1,12 +1,14 @@
 """Volterra operators, composition semigroups, continuity probes."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from holoflow import cli, expr, spaces, volterra
 from holoflow.expr import FunctionHandle
-from holoflow.semigroup import Generator
+from holoflow.semigroup import FlowBlowupError, Generator
 from holoflow.volterra import (STANDARD_FAMILY, boundedness_probe,
                                compose_apply, continuity_probe, volterra_apply)
 
@@ -91,6 +93,17 @@ def test_compose_at_zero_time_is_identity():
 # continuity probes (maximal subspace evidence)
 # ---------------------------------------------------------------------------
 
+def _serial_continuity_values(gen, f, times, space="bmoa"):
+    # the probe's per-time body as a plain loop on this thread
+    values = []
+    for t in times:
+        ct = volterra.compose_apply(gen, t, f)
+        diff = FunctionHandle(lambda z, c=ct: c.val(z) - f.val(z),
+                              lambda z, c=ct: c.der(z) - f.der(z))
+        values.append(spaces.seminorm(diff, space).value)
+    return values
+
+
 def test_continuity_probe_decays_for_vmoa_member():
     gen = Generator.from_source("i*z")
     probe = continuity_probe(gen, FunctionHandle.from_source("z"),
@@ -101,10 +114,13 @@ def test_continuity_probe_decays_for_vmoa_member():
 
 def test_continuity_probe_floor_for_bmoa_only_member():
     gen = Generator.from_source("i*z")
-    probe = continuity_probe(gen, FunctionHandle.from_source("log(e/(1 - z))"),
-                             (0.1, 0.01, 0.001))
+    f = FunctionHandle.from_source("log(e/(1 - z))")
+    probe = continuity_probe(gen, f, (0.1, 0.01, 0.001))
     assert probe.trend == "floor"
     assert probe.floor >= 0.05
+    # the times ran on the pool with the bits of a serial loop
+    want = _serial_continuity_values(gen, f, probe.times)
+    assert np.array(probe.values).tobytes() == np.array(want).tobytes()
 
 
 def test_vmoa_members_decay_under_every_corpus_semigroup():
@@ -114,6 +130,44 @@ def test_vmoa_members_decay_under_every_corpus_semigroup():
         probe = continuity_probe(gen, FunctionHandle.from_source("z"),
                                  (0.1, 0.01, 0.001))
         assert probe.trend == "decays"
+
+
+def test_continuity_probe_raises_the_first_failing_time(monkeypatch):
+    # the second and third times fail; the second's error surfaces, as in
+    # the serial loop, whichever worker fails first
+    gen = Generator.from_source("i*z")
+    f = FunctionHandle.from_source("z")
+    times = (0.1, 0.01, 0.001)
+
+    def compose(g, t, h):
+        if t == times[0]:
+            return h
+        raise FlowBlowupError("blow-up at t=%g" % t)
+
+    monkeypatch.setattr(volterra, "compose_apply", compose)
+    with pytest.raises(FlowBlowupError) as serial:
+        _serial_continuity_values(gen, f, times)
+    with pytest.raises(FlowBlowupError) as fanned:
+        continuity_probe(gen, f, times)
+    assert str(fanned.value) == str(serial.value) == "blow-up at t=0.01"
+
+
+def test_sarason_differentiates_each_tree_once(monkeypatch, capsys):
+    # a slow differentiate widens the window in which two flows on the pool
+    # would both find the generator's derivative missing
+    trees, differentiate = [], expr.differentiate
+
+    def slow(tree):
+        trees.append(tree)
+        time.sleep(0.1)
+        return differentiate(tree)
+
+    monkeypatch.setattr(expr, "differentiate", slow)
+    code = cli.main(["sarason", "--generator", "i*z", "--function", "z^2"])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    # the function's tree and the generator's, each once
+    assert len(trees) == 2 and trees[0] is not trees[1]
 
 
 def test_continuity_probe_requires_decreasing_times():
@@ -131,6 +185,25 @@ def test_unknown_space_is_rejected():
 # ---------------------------------------------------------------------------
 # boundedness probes
 # ---------------------------------------------------------------------------
+
+def _serial_boundedness_fields(g_src):
+    # the probe's per-member body as a plain loop on this thread
+    g = FunctionHandle.from_source(g_src)
+    fields = [[], [], [], []]
+    for src in STANDARD_FAMILY:
+        f = FunctionHandle.of(src)
+        f0 = abs(complex(f.val(np.array([0.0 + 0.0j]))[0]))
+        image = volterra_apply(g, f)
+        r = []
+        for J in (5, 9):
+            num = spaces.seminorm(image, "bmoa", J=J).value
+            den = spaces.seminorm(f, "bmoa", J=J).value + f0
+            r.append(num / den if den > 0 else math.inf)
+        growth = r[1] / r[0] if r[0] > 0 else math.inf
+        for field, v in zip(fields, (den, num, r[1], growth)):
+            field.append(v)
+    return fields
+
 
 def test_boundedness_probe_is_marked_as_probe():
     probe = boundedness_probe("z")
@@ -155,3 +228,8 @@ def test_log_symbol_ratio_growth_under_refinement():
     # member's ratio keeps growing as the arc family is refined
     probe = boundedness_probe("log(e/(1 - z))")
     assert max(probe.ratio_growth) >= 1.1
+    # the members ran on the pool with the bits of a serial loop
+    got = (probe.member_norms, probe.image_norms, probe.ratios,
+           probe.ratio_growth)
+    assert [np.array(v).tobytes() for v in got] == \
+        [np.array(v).tobytes() for v in _serial_boundedness_fields(probe.symbol)]

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, construct, expr, quad, semigroup, spaces, volterra
+from . import __version__, expr, quad, semigroup, spaces, volterra
 from .expr import ParseDiagnostic, EvalDomainError
 from .quad import LimitVerdict, QuadFailure
 from .semigroup import AdmissibilityError, ClassificationError, FlowBlowupError
@@ -70,7 +70,7 @@ def render(obj):
 
 def _emit(args, report, series=()):
     config = dict(asdict(quad.CONFIG), depth_J=getattr(args, "J", 8),
-                  precision_bits=construct.default_bits(),
+                  precision_bits=quad.default_bits(),
                   output_format="json")
     doc = {"version": SCHEMA_VERSION, "artifact": __version__,
            "command": args.command, "config": render(config)}
@@ -210,6 +210,7 @@ def cmd_sarason(args):
 
 
 def cmd_construct(args):
+    from . import construct         # mpmath loads only for a witness
     symbol = {"loghalf": construct.LOG_HALF_SYMBOL,
               "linear": construct.LINEAR_SYMBOL}[args.symbol]
     build = construct.build_bmoa if args.space == "bmoa" else \
@@ -226,6 +227,7 @@ def cmd_construct(args):
 
 
 def cmd_block_verify(args):
+    from . import construct
     rep = construct.verify_block(_complex_arg(args.w))
     return _emit(args, rep)
 
@@ -361,7 +363,7 @@ def main(argv=None) -> int:
     argv = _fold_values(list(sys.argv[1:] if argv is None else argv))
     try:
         args = build_parser().parse_args(argv)
-        construct.default_bits()        # reject a bad precision before work
+        quad.default_bits()             # reject a bad precision before work
         return args.fn(args)
     except ParseDiagnostic as exc:
         return _error_doc(EXIT_PARSE, exc)
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
         return _error_doc(EXIT_DOMAIN, exc)
     except (QuadFailure, FlowBlowupError, ArithmeticError) as exc:
         return _error_doc(EXIT_NUMERIC, exc)
-    except (AssertionError, construct.BlockPropertyError) as exc:
+    except AssertionError as exc:   # construct.BlockPropertyError is one
         return _error_doc(EXIT_INTERNAL, exc)
 
 

@@ -11,20 +11,20 @@ S(I_w); this module (and everything downstream) uses the sigma form.
 Deep construction steps need gaps far below double precision, so points are
 (angle, gap) pairs with mpmath gaps and every near-boundary quantity is
 evaluated through cancellation-free rearrangements in terms of gaps.  The
-working precision comes from HOLOFLOW_PRECISION_BITS (default 256, an
-integer in [53, 4096]).
+working precision is quad.default_bits(), read as each of make_block,
+verify_block, build_bmoa and build_bloch starts.
 
 Float decides, mp certifies.  Those rearrangements are sums of positive
 terms, so their logs carry in float64 at any gap.  A vectorized log-domain
 engine (Re beta_w, the symbol densities, |F_{n-1}|^2, the box geometry and
 the mp_box_average node set) makes the decisions of the searches: the
-admissible length delta_n, the squaring search for w_n, the (d) argmax over
-arcs and the Bloch region suprema.  mpmath at the working precision then
-evaluates what the state records: the average at the chosen delta_n (if it
-exceeds the bound, mp redoes that scan), the accepted squaring candidate,
-the (d) argmax, the region_sup argmax and the property (2) certificates.  A
-float value within the relative MARGIN of a threshold or of a rival is
-decided in mp, so the states are those of the all-mp searches.
+admissible length delta_n, the squaring search for w_n, the (d) maximizer
+over arcs and the Bloch region suprema.  mpmath at the working precision
+then evaluates what the state records: the average at the chosen delta_n
+(if it exceeds the bound, mp redoes that scan), the accepted squaring
+candidate, the (d) maximizer, the region_sup maximizer and the property (2)
+certificates.  A float value within the relative MARGIN of a threshold or
+of a rival is decided in mp, so the states are those of the all-mp searches.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -47,40 +46,16 @@ from mpmath.libmp import (fone, fzero, from_int, mpc_abs, mpc_div, mpc_log,
 from . import spaces
 from .expr import FunctionHandle
 from .hypgeo import Arc, DiscPoint, GeodesicBox, box_contains
+from .quad import default_bits
 
 __all__ = [
     "BlockParams", "BlockReport", "ConstructionState", "ConstructionFailure",
-    "BlockPropertyError", "default_bits", "make_block", "verify_block",
+    "BlockPropertyError", "make_block", "verify_block",
     "build_bmoa", "build_bloch", "LOG_HALF_SYMBOL", "LINEAR_SYMBOL",
 ]
 
 C0 = 3.0                      # absolute bound for |beta_w| off S(I_{w*})
 DEFAULT_TOL_C = 0.05
-
-
-MIN_BITS, MAX_BITS = 53, 4096   # accepted working precisions
-
-
-def default_bits() -> int:
-    """HOLOFLOW_PRECISION_BITS (default 256), an integer in [53, 4096]."""
-    raw = os.environ.get("HOLOFLOW_PRECISION_BITS", "256")
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = raw
-    return _checked_bits(bits)
-
-
-def _checked_bits(bits):
-    """bits if it is an integer in [MIN_BITS, MAX_BITS]; None means
-    default_bits().  Anything else raises ValueError (exit 3)."""
-    if bits is None:
-        return default_bits()
-    if (not isinstance(bits, int) or isinstance(bits, bool)
-            or not MIN_BITS <= bits <= MAX_BITS):
-        raise ValueError("precision bits must be an integer in [%d, %d], "
-                         "got %r" % (MIN_BITS, MAX_BITS, bits))
-    return bits
 
 
 class ConstructionFailure(Exception):
@@ -92,8 +67,8 @@ class ConstructionFailure(Exception):
         self.record = record or {}
 
 
-class BlockPropertyError(Exception):
-    """A certified block property failed numerically."""
+class BlockPropertyError(AssertionError):
+    """A certified block property failed numerically (exit 5)."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +237,7 @@ def _float_block(wc, wsc):
     return FunctionHandle(val, der)
 
 
-def make_block(w, bits=None):
+def make_block(w):
     """BlockParams plus a float-vectorized (value, derivative) handle for
     the complex number w.
 
@@ -270,8 +245,7 @@ def make_block(w, bits=None):
     then looks constant on the float-reachable part of the disc); use
     params + _beta_mp for extended-precision evaluation.
     """
-    bits = _checked_bits(bits)
-    with mp.workprec(bits):
+    with mp.workprec(default_bits()):
         p = DiscPoint.from_complex(complex(w))
         theta, gap = mp.mpf(p.theta), mp.mpf(p.gap)
         if not 0 < gap < 1:
@@ -299,11 +273,10 @@ class BlockReport:
 BLOCK_BOUNDS = {"bloch": 2.0, "bmoa": 2.0, "c4_floor": 0.4, "c0": C0}
 
 
-def verify_block(w, bits=None) -> BlockReport:
+def verify_block(w) -> BlockReport:
     """Certify the five block properties; any violation raises."""
-    bits = _checked_bits(bits)
-    params, handle = make_block(w, bits)
-    with mp.workprec(bits):
+    params, handle = make_block(w)
+    with mp.workprec(default_bits()):
         theta, gap, gap_star = params.theta, params.gap, params.gap_star
 
         # global sample: float grid plus extended-precision boundary points
@@ -765,15 +738,6 @@ class ConstructionState:
 # the witness recursion
 # ---------------------------------------------------------------------------
 
-def _bmoa_scale_sq(symbol, bits):
-    """1 / int |g'|^2 (1-|z|^2) dm at the build's precision, so the scaled
-    symbol is normalized; mp_disc_integral resolves the corpus symbol's
-    integrable boundary peak at z = 1."""
-    with mp.workprec(bits):
-        val = mp_disc_integral(symbol.base_density)
-    return float(1 / val)
-
-
 def _admissible_scan(average, start_length, bound):
     """Largest tested dyadic-by-squaring length with suffix sup <= bound.
 
@@ -872,15 +836,15 @@ class _Space(NamedTuple):
     cert_failure: str           # property (2) text % (n, cert2)
 
 
-def _witness(describe, symbol, n_max, bits) -> ConstructionState:
+def _witness(describe, symbol, n_max) -> ConstructionState:
     """Steps (a)-(e) of build_bmoa and build_bloch in the _Space
-    describe(bits), at bits, on |F_{n-1}|^p w for (a), (Re beta_n)^p w for
-    (c) and (d), and (Re F_n)^p w for property (2)."""
+    describe(), at default_bits(), on |F_{n-1}|^p w for (a), (Re beta_n)^p w
+    for (c) and (d), and (Re F_n)^p w for property (2)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
-    bits = _checked_bits(bits)
+    bits = default_bits()
     with mp.workprec(bits):
-        space = describe(bits)
+        space = describe()
         p = space.p
         state = ConstructionState(space.mode, symbol.name, bits, space.scale,
                                   DEFAULT_TOL_C)
@@ -1010,8 +974,7 @@ def _arc_maximum(dens, ell_w, avg_w, delta):
     return best_avg, best_len
 
 
-def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
-               bits=None) -> ConstructionState:
+def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4) -> ConstructionState:
     """Recursive witness construction: F with T_g F in BMOA minus VMOA.
 
     Per step n: (a) delta_n = largest sampled arc length with box averages of
@@ -1022,8 +985,11 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
     (e) a_n = 1/M_n.  Invariants are certified at every step, property (2)
     on the arc that attains M_n.
     """
-    def bmoa(bits):
-        scale_sq = _bmoa_scale_sq(symbol, bits)
+    def bmoa():
+        # 1 / int |g'|^2 (1-|z|^2) dm at the build's precision, so the scaled
+        # symbol is normalized; mp_disc_integral resolves the corpus
+        # symbol's integrable boundary peak at z = 1
+        scale_sq = float(1 / mp_disc_integral(symbol.base_density))
         s2, ls2 = mp.mpf(scale_sq), math.log(scale_sq)
         return _Space(
             mode="bmoa", p=2, scale=math.sqrt(scale_sq),
@@ -1043,7 +1009,7 @@ def build_bmoa(symbol=LOG_HALF_SYMBOL, n_max=4,
                 "delta_prime_bound": True, "property2_average": float(cert2),
                 "candidate_average": float(min(avg_w, mp.mpf(10) ** 300))},
             cert_failure="property (2) certification failed at step %d: %s")
-    return _witness(bmoa, symbol, n_max, bits)
+    return _witness(bmoa, symbol, n_max)
 
 
 _LOG_ANGLES = [math.log(math.pi * j / 8) if j else -math.inf
@@ -1072,8 +1038,7 @@ def _halved_admissible(quant, delta):
     raise ConstructionFailure("no admissible delta_n (Bloch)")
 
 
-def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
-                bits=None) -> ConstructionState:
+def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4) -> ConstructionState:
     """Bloch variant: point values instead of box averages, |g'(0)| = 1.
 
     Per step n: (a) delta_n = delta_{n-1} (0.125 at n = 1), halved (squared
@@ -1084,7 +1049,7 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
     (e) a_n = 1/M_n.  Property (2) is certified at w_n (z_n_gap), not where
     M_n is attained: for log-half the region sup attains it at steps 1-6.
     """
-    def bloch(bits):
+    def bloch():
         dg0 = symbol.dg0_abs()
         if dg0 == 0:
             raise ValueError("symbol must satisfy g'(0) != 0")
@@ -1106,4 +1071,4 @@ def build_bloch(symbol=LOG_HALF_SYMBOL, n_max=4,
             step_keys=lambda gap: {"z_n_gap": gap},
             cert_keys=lambda cert2, v_w: {"property2_value": float(cert2)},
             cert_failure="Bloch property (2) failed at step %d: %s")
-    return _witness(bloch, symbol, n_max, bits)
+    return _witness(bloch, symbol, n_max)

@@ -4,11 +4,14 @@ Deterministic (dyadic, no randomness) polar quadrature for area integrals over
 the disc and over geodesic Carleson boxes, grid suprema, radial limit
 classification, and Gauss-Legendre line integrals.  All area integrals use the
 normalized measure dm = area/pi and clip a boundary annulus of width eps_min.
+The module also holds the package's settings: the estimators' CONFIG and the
+witness code's working precision, default_bits().
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +23,9 @@ from .hypgeo import GeodesicBox
 __all__ = [
     "QuadConfig",
     "CONFIG",
+    "default_bits",
     "QuadFailure",
     "LimitVerdict",
-    "SupEstimate",
     "disc_integral",
     "box_integral",
     "grid_sup",
@@ -54,17 +57,26 @@ class QuadConfig:
 
 CONFIG = QuadConfig()
 
+MIN_BITS, MAX_BITS = 53, 4096   # accepted working precisions
+
+
+def default_bits() -> int:
+    """The working precision of the extended-precision witness code:
+    HOLOFLOW_PRECISION_BITS (default 256), an integer in [53, 4096].
+    Anything else raises ValueError (exit 3)."""
+    raw = os.environ.get("HOLOFLOW_PRECISION_BITS", "256")
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = raw
+    if not isinstance(bits, int) or not MIN_BITS <= bits <= MAX_BITS:
+        raise ValueError("precision bits must be an integer in [%d, %d], "
+                         "got %r" % (MIN_BITS, MAX_BITS, bits))
+    return bits
+
 
 class QuadFailure(Exception):
     """Subdivision budget exhausted before the tolerance was met."""
-
-
-@dataclass
-class SupEstimate:
-    """Lower estimate of a supremum, attained at the recorded sample."""
-
-    value: float
-    argmax: complex
 
 
 @dataclass
@@ -228,7 +240,8 @@ def _disc_grid_points(resolution, eps_min):
 
 
 def grid_sup(sampler, region, resolution):
-    """Maximum of sampler over a deterministic grid on the region.
+    """Maximum of sampler over a deterministic grid on the region, a float
+    lower estimate of the supremum; non-finite samples count as -inf.
 
     region is ("disc",) or ("circle", r).  Refining the resolution never
     decreases the value (grids are nested).
@@ -243,14 +256,12 @@ def grid_sup(sampler, region, resolution):
     else:
         raise ValueError("unknown region %r" % (region,))
 
-    best, arg = -math.inf, 0.0 + 0.0j
+    best = -math.inf
     for ring in rings:
         vals = np.asarray(sampler(ring), dtype=float)
         vals = np.where(np.isfinite(vals), vals, -math.inf)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, arg = float(vals[k]), complex(ring[k])
-    return SupEstimate(best, arg)
+        best = max(best, float(np.max(vals)))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,6 @@ class SeminormReport:
     space: str                # "bloch" | "bmoa"
     weight: Weight
     value: float              # certified grid lower bound
-    argmax: object            # point (bloch) or Arc (bmoa)
     resolution: int
     history: list             # (resolution, value), nondecreasing
     scale_series: list = field(default_factory=list)  # (j, sup over centers)
@@ -190,15 +189,11 @@ def bloch_seminorm(f, w=Weight.unit(), resolution=12) -> SeminormReport:
             rings[key] = sampler(z)
         return rings[key]
 
-    history = []
-    best = None
+    history, best = [], -math.inf
     for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
-        est = grid_sup(ring_sampler, ("disc",), res)
-        if best is None or est.value >= best.value:
-            best = est
-        history.append((res, best.value))
-    return SeminormReport("bloch", w, best.value, best.argmax,
-                          resolution, history)
+        best = max(best, grid_sup(ring_sampler, ("disc",), res))
+        history.append((res, best))
+    return SeminormReport("bloch", w, best, resolution, history)
 
 
 def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
@@ -212,7 +207,7 @@ def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
     sampler = _bloch_sampler(f, w)
     # resolution 5: 2^(5+3) = 256 angles; a circle without finite samples
     # gives -inf, which radial_limit skips
-    return radial_limit(lambda r: grid_sup(sampler, ("circle", r), 5).value,
+    return radial_limit(lambda r: grid_sup(sampler, ("circle", r), 5),
                         slope_rule=True)
 
 
@@ -310,15 +305,13 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
     if not 0 <= J <= MAX_J:
         raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
     fam = _box_average_family(f, w, J)
-    best_val, best_arc = -math.inf, None
+    best_val = -math.inf
     history = []
     octave_sup = {}
-    for j, length, centers, avgs in fam:
-        k = int(np.argmax(avgs))
-        octave_sup[j] = max(octave_sup.get(j, 0.0), float(avgs[k]))
-        if avgs[k] > best_val:
-            best_val = float(avgs[k])
-            best_arc = Arc(float(centers[k]), length)
+    for j, _, _, avgs in fam:
+        top = float(np.max(avgs))
+        octave_sup[j] = max(octave_sup.get(j, 0.0), top)
+        best_val = max(best_val, top)
         if history and history[-1][0] == j:
             history.pop()
         history.append((j, math.sqrt(max(best_val, 0.0))))
@@ -331,8 +324,8 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
         trend = "decaying"
     else:
         trend = "stable"
-    return SeminormReport("bmoa", w, math.sqrt(max(best_val, 0.0)), best_arc,
-                          J, history, scale_series=series, trend=trend)
+    return SeminormReport("bmoa", w, math.sqrt(max(best_val, 0.0)), J,
+                          history, scale_series=series, trend=trend)
 
 
 def bmoa_vanishing(f, w=Weight.unit()) -> LimitVerdict:
@@ -462,7 +455,7 @@ def _lvb_verdict(gen):
     # 64 angles per radius; a circle with no usable sample gives -inf, and
     # radial_limit skips that radius
     verdict = radial_limit(
-        lambda r: grid_sup(partial(circle_values, r), ("circle", r), 3).value)
+        lambda r: grid_sup(partial(circle_values, r), ("circle", r), 3))
     if skipped[0]:
         verdict.flags.append("skipped %d samples at zeros of G" % skipped[0])
     return verdict

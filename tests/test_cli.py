@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from holoflow import cli, quad
+from holoflow import cli, construct, quad
 
 
 def run(capsys, *argv):
@@ -205,11 +205,20 @@ def _must_not_run(*args, **kwargs):
 @pytest.mark.parametrize("bits", ["0", "16", "-5", "4097"])
 def test_out_of_range_precision_bits_exit_3(capsys, monkeypatch, bits):
     monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", bits)
-    monkeypatch.setattr(cli.construct, "verify_block", _must_not_run)
+    monkeypatch.setattr(construct, "verify_block", _must_not_run)
     code, doc = run_json(capsys, "block-verify", "--w", "0.9")
     assert code == cli.EXIT_DOMAIN
     assert doc["error"]["exit_code"] == 3
     assert doc["error"]["type"] == "ValueError"
+
+
+def test_block_property_failure_exits_5(capsys, monkeypatch):
+    # BlockPropertyError is an AssertionError: exit 5 under its own name
+    monkeypatch.setitem(construct.BLOCK_BOUNDS, "bloch", 0.0)
+    code, doc = run_json(capsys, "block-verify", "--w", "0.9")
+    assert code == cli.EXIT_INTERNAL
+    assert doc["error"]["exit_code"] == 5
+    assert doc["error"]["type"] == "BlockPropertyError"
 
 
 @pytest.mark.parametrize("space", ["bmoa", "bloch"])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -607,8 +608,9 @@ def _sha(state):
     return hashlib.sha256(state.to_json().encode()).hexdigest()
 
 
-def test_state_json_golden_hashes(bloch_states):
-    assert _sha(build_bmoa(n_max=1, bits=256)) == \
+def test_state_json_golden_hashes(bloch_states, monkeypatch):
+    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", "256")
+    assert _sha(build_bmoa(n_max=1)) == \
         GOLDEN_STATE_SHA256["bmoa_1"]
     assert _sha(bloch_states[256]) == GOLDEN_STATE_SHA256["bloch_4"]
 
@@ -653,21 +655,24 @@ def test_build_node_memo_lives_for_one_build(monkeypatch):
         for _ in range(2):
             beta_args.clear()
             base_args.clear()
-            build(n_max=1, bits=256)
+            build(n_max=1)
             assert len(set(beta_args)) == len(beta_args) > 0, build
             assert len(set(base_args)) == len(base_args) > 0, build
             counts.append((len(beta_args), len(base_args)))
         assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("bits", [0, 16, -5, 4097, 256.0, True])
-def test_explicit_bits_outside_the_range_are_rejected(bits):
-    for fn in (make_block, verify_block):
-        with pytest.raises(ValueError):
-            fn(0.9, bits=bits)
-    for build in (build_bmoa, build_bloch):
-        with pytest.raises(ValueError):
-            build(n_max=1, bits=bits)
+@pytest.mark.parametrize("bits", ["0", "16", "-5", "4097", "256.0", "True"])
+def test_explicit_bits_outside_the_range_are_rejected(monkeypatch, bits):
+    # the precision has one input, HOLOFLOW_PRECISION_BITS, which each of
+    # the four entry points reads as it starts
+    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", bits)
+    want = bits if bits.lstrip("-").isdigit() else repr(bits)
+    for call in (lambda: make_block(0.9), lambda: verify_block(0.9),
+                 lambda: build_bmoa(n_max=1), lambda: build_bloch(n_max=1)):
+        with pytest.raises(ValueError, match=r"must be an integer in \[53, "
+                           r"4096\], got %s$" % re.escape(want)):
+            call()
 
 
 def test_negative_control_fails_at_step_one():
@@ -684,8 +689,8 @@ def test_bmoa_symbol_normalization_recorded():
 
 
 def test_bmoa_normalization_runs_at_the_build_precision(monkeypatch):
-    # the environment's precision must not reach an explicit-bits build
-    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", "16")
+    # the symbol is normalized at the precision the build reads
+    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", "512")
     seen = []
 
     class Stop(Exception):
@@ -697,7 +702,7 @@ def test_bmoa_normalization_runs_at_the_build_precision(monkeypatch):
 
     monkeypatch.setattr(construct, "mp_disc_integral", record)
     with pytest.raises(Stop):
-        build_bmoa(n_max=1, bits=512)
+        build_bmoa(n_max=1)
     assert seen == [512]
 
 

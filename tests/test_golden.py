@@ -101,20 +101,23 @@ def test_golden_comparator_tolerates_float_noise_only():
         assert golden_mismatches(want, got) != []
 
 
-# One fresh interpreter: which scipy modules are loaded after building the
-# parser, after golden cases of commands that never integrate a flow, and
-# after a flow; with each case's stdout.
+# One fresh interpreter: which scipy modules, and which of mpmath and
+# holoflow.construct, are loaded after building the parser, after golden
+# cases of commands that never integrate a flow, and after a flow; with each
+# case's stdout.
 _COLD_START = """
 import contextlib, io, json, sys
 import holoflow.cli as cli
 cli.build_parser()
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-seen = {"parser": loaded()}
+witness = lambda: sorted({"mpmath", "holoflow.construct"} & set(sys.modules))
+seen = {"parser": loaded(), "parser_witness": witness()}
 for case, argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    seen[case] = {"code": code, "out": out.getvalue(), "scipy": loaded()}
+    seen[case] = {"code": code, "out": out.getvalue(), "scipy": loaded(),
+                  "witness": witness()}
 print(json.dumps(seen))
 """
 
@@ -138,3 +141,9 @@ def test_cold_start_loads_scipy_only_for_a_flow():
         if case != "02":
             assert seen[case]["scipy"] == [], case
     assert "scipy.integrate" in seen["02"]["scipy"]
+    # mpmath and the witness module load only for construct and
+    # block-verify, here case 26
+    assert seen["parser_witness"] == []
+    for case in ("01", "03", "04"):
+        assert seen[case]["witness"] == [], case
+    assert seen["26"]["witness"] == ["holoflow.construct", "mpmath"]

@@ -92,21 +92,30 @@ def test_grid_sup_refinement_is_monotone():
     prev = -math.inf
     for res in range(2, 10):
         est = grid_sup(sampler, ("disc",), res)
-        assert est.value >= prev
-        prev = est.value
+        assert est >= prev
+        prev = est
 
 
 def test_grid_sup_on_circle_finds_peak():
     sampler = lambda z: np.exp(-np.abs(z - 0.9) ** 2)
     est = grid_sup(sampler, ("circle", 0.9), 10)
-    assert est.value == pytest.approx(1.0, abs=1e-4)
+    assert est == pytest.approx(1.0, abs=1e-4)
+
+
+def test_grid_sup_counts_non_finite_samples_as_minus_infinity():
+    def sampler(z):
+        vals = np.abs(z)
+        return np.where(vals > 0.5, np.nan, vals)
+    assert 0.45 < grid_sup(sampler, ("disc",), 6) <= 0.5
+    assert grid_sup(lambda z: np.full(z.shape, np.inf), ("circle", 0.5),
+                    3) == -math.inf
 
 
 def test_grid_sup_captures_interior_maximum():
     # |f'|(1-|z|^2) for f = z^2/2 peaks at r = 1/sqrt(3), off the dyadic set
     sampler = lambda z: np.abs(z) * (1.0 - np.abs(z) ** 2)
     est = grid_sup(sampler, ("disc",), 8)
-    assert est.value >= 2.0 / (3.0 * math.sqrt(3.0)) * 0.999
+    assert est >= 2.0 / (3.0 * math.sqrt(3.0)) * 0.999
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,11 @@ def _per_ring_bloch_seminorm(f, resolution):
     """bloch_seminorm without its ring memo: every grid calls the sampler
     on each of its rings.  The reference the memo must reproduce."""
     sampler = spaces._bloch_sampler(f, Weight.unit())
-    history, best = [], None
+    history, best = [], -math.inf
     for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
-        est = quad.grid_sup(sampler, ("disc",), res)
-        if best is None or est.value >= best.value:
-            best = est
-        history.append((res, best.value))
-    return best.value, best.argmax, history
+        best = max(best, quad.grid_sup(sampler, ("disc",), res))
+        history.append((res, best))
+    return best, history
 
 
 def _disc_rings(resolution):
@@ -111,7 +109,7 @@ def test_bloch_ring_memo_matches_per_ring_evaluation():
                (compose_apply(Generator.from_source("-z"), 0.1, F_LOG), 9)]
     for f, res in handles:
         rep = bloch_seminorm(f, resolution=res)
-        assert (rep.value, rep.argmax, rep.history) == \
+        assert (rep.value, rep.history) == \
             _per_ring_bloch_seminorm(f, res)
 
 

@@ -917,11 +917,11 @@ def _certify_norm_control(state, symbol):
     """
     _, gp = FunctionHandle.from_source(symbol.source)
     scale = state.scale
-    # float blocks of F_n (deep blocks degrade to constants)
-    blocks = [(float(a), _float_block(
-        (1.0 - float(g)) * complex(mp.cos(th), mp.sin(th)),
-        (1.0 - float(gs)) * complex(mp.cos(th), mp.sin(th))).val)
-        for a, th, g, gs in state.blocks()]
+    # float blocks of F_n (deep blocks degrade to constants); every step is
+    # recorded at theta = 0, so w and w* lie on the positive real axis
+    blocks = [(float(a), _float_block(complex(1.0 - float(g)),
+                                      complex(1.0 - float(gs))).val)
+              for a, _, g, gs in state.blocks()]
 
     # the seminorms of F_0 ... F_n sample the same point arrays: g' and each
     # block are evaluated once per distinct array, which gives the same values

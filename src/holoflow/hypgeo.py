@@ -114,8 +114,7 @@ def midpoint_from_origin(w) -> DiscPoint:
         raise ValueError("midpoint undefined for w = 0")
     s = p.one_minus_sq()  # 1 - |w|^2
     root = math.sqrt(s)
-    rho = p.radius / (1.0 + root)
-    # gap of w*: 1 - rho = (1 + root - |w|) / (1 + root) = (gap + root)/(1 + root)
+    # gap of w*: 1 - |w*| = (1 + root - |w|) / (1 + root) = (gap + root)/(1 + root)
     gap_star = (p.gap + root) / (1.0 + root)
     return DiscPoint.from_polar_gap(p.theta, gap_star)
 

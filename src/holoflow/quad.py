@@ -332,7 +332,7 @@ def radial_limit(sampler, slope_rule=False):
     """Classify the limit of sampler(r) as r -> 1 along the dyadic schedule."""
     samples = []
     skipped = []
-    for j, r in radial_schedule():
+    for _, r in radial_schedule():
         try:
             v = float(sampler(r))
         except (ArithmeticError, _expr.EvalDomainError):

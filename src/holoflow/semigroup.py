@@ -240,7 +240,7 @@ def classify(gen: Generator) -> Classification:
             continue
         seen.append(tau)
         try:
-            lam, verdict = _boundary_lambda(gen, tau)
+            lam, _ = _boundary_lambda(gen, tau)
         except ClassificationError:
             continue
         kind = "parabolic" if lam == 0.0 else "hyperbolic"

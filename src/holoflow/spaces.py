@@ -14,6 +14,7 @@ kernel peaks; each query a applies the kernel to them (GarsiaIntegrator).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -137,7 +138,7 @@ class SeminormReport:
     weight: Weight
     value: float              # certified grid lower bound
     resolution: int
-    history: list             # (resolution, value), nondecreasing
+    history: list             # (resolution or j, value), nondecreasing
     scale_series: list = field(default_factory=list)  # (j, sup over centers)
     trend: str = ""           # "", "growing", "stable", "decaying"
 
@@ -237,10 +238,11 @@ def _master_grid(J):
 def _box_average_family(f, w, J):
     """Box averages of |f'|^2 (1-|z|^2) over the dyadic arc family.
 
-    Returns a list of (j, length, centers, averages), j = 0..J, one entry per
-    arc length frac 2^-j, frac in FRACS, with centers on the 2^(j+2)-point
-    angular grid, each average already carrying the 1/l normalization and
-    the weight's arc factor.  f' is evaluated once on the whole grid
+    Yields (j, averages), j = 0..J, one member per arc length frac 2^-j,
+    frac in FRACS, averaged at the 2^(j+2) centers of the angular grid, each
+    average already carrying the 1/l normalization and the weight's arc
+    factor.  Members are made one at a time, so only the master grid and
+    the current member are held.  f' is evaluated once on the whole grid
     (Sarason's density is one ODE system over all points);
     the per-ring prefix sums, then each member's window sums over its rings
     in ring order, run on the pool in ~2^14-cell blocks of whole rings, then
@@ -282,7 +284,6 @@ def _box_average_family(f, w, J):
 
         return np.sum(wr[rows] * (cum(hi) - cum(lo)) / n_theta, axis=0)
 
-    out = []
     for j in range(J + 1):
         for frac in FRACS:
             length = frac * 2.0 ** (-j)
@@ -295,28 +296,22 @@ def _box_average_family(f, w, J):
             acc = np.concatenate(_map(
                 partial(windows, rows, half[rows]),
                 np.split(centers, range(step, n_c, step))))
-            out.append((j, length, centers,
-                        w.arc_factor(length) * acc / length))
-    return out
+            yield j, w.arc_factor(length) * acc / length
 
 
 def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
-    """Sqrt of the sup over the dyadic arc family of weighted box averages."""
+    """Sqrt of the sup over the dyadic arc family of weighted box averages.
+
+    The per-octave sups (floored at 0) are the scale series; the history is
+    the running seminorm after each octave."""
     if not 0 <= J <= MAX_J:
         raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
-    fam = _box_average_family(f, w, J)
-    best_val = -math.inf
-    history = []
-    octave_sup = {}
-    for j, _, _, avgs in fam:
-        top = float(np.max(avgs))
-        octave_sup[j] = max(octave_sup.get(j, 0.0), top)
-        best_val = max(best_val, top)
-        if history and history[-1][0] == j:
-            history.pop()
-        history.append((j, math.sqrt(max(best_val, 0.0))))
-    series = sorted(octave_sup.items())
-    tail = [v for _, v in series[-6:]]
+    sups = [0.0] * (J + 1)
+    for j, avgs in _box_average_family(f, w, J):
+        sups[j] = max(sups[j], float(np.max(avgs)))
+    history = [(j, math.sqrt(s))
+               for j, s in enumerate(itertools.accumulate(sups, max))]
+    tail = sups[-6:]
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
     if ratios and min(ratios) >= 1.02:
         trend = "growing"
@@ -324,18 +319,15 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
         trend = "decaying"
     else:
         trend = "stable"
-    return SeminormReport("bmoa", w, math.sqrt(max(best_val, 0.0)), J,
-                          history, scale_series=series, trend=trend)
+    return SeminormReport("bmoa", w, history[-1][1], J, history,
+                          scale_series=list(enumerate(sups)), trend=trend)
 
 
 def bmoa_vanishing(f, w=Weight.unit()) -> LimitVerdict:
-    """Limit of sup-over-centers box averages as the arc length 2^-j -> 0,
-    sampled at j = 2..VANISHING_J."""
-    octave_sup = {}
-    for j, _, _, avgs in _box_average_family(f, w, VANISHING_J):
-        octave_sup[j] = max(octave_sup.get(j, 0.0), float(np.max(avgs)))
-    samples = [(j, octave_sup[j]) for j in range(2, VANISHING_J + 1)]
-    return classify_sequence(samples, slope_rule=True)
+    """Limit of sup-over-centers box averages as the arc length 2^-j -> 0:
+    bmoa_seminorm's octave sups at j = 2..VANISHING_J."""
+    series = bmoa_seminorm(f, w, VANISHING_J).scale_series
+    return classify_sequence(series[2:], slope_rule=True)
 
 
 def seminorm(f, space, w=Weight.unit(), J=8) -> SeminormReport:
@@ -377,7 +369,7 @@ class GarsiaIntegrator:
     only resolved if arg(a) was passed as a hot angle.
     """
 
-    def __init__(self, sq_density, hot_angles=()):
+    def __init__(self, sq_density, hot_angles):
         t = _adaptive_angles(sorted(set(float(h) % (2.0 * math.pi)
                                         for h in hot_angles)))
         # periodic trapezoid weights on the nonuniform angular mesh

@@ -152,6 +152,44 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_scope(func):
+    """The nodes of func's body outside its nested functions and lambdas."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # a local that is stored and never loaded is a leftover computation or
+    # a loop index nobody uses; names starting with "_" say so on purpose,
+    # and a nested function reading the name, or a global / nonlocal
+    # declaration of it, counts as a read
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted((root / "src" / "holoflow").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, _SCOPES):
+                continue
+            read = set()
+            for n in ast.walk(func):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    read.add(n.id)
+                elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                    read |= set(n.names)
+            unused += ["%s:%d %s" % (path.name, n.lineno, n.id)
+                       for n in _own_scope(func)
+                       if isinstance(n, ast.Name)
+                       and isinstance(n.ctx, ast.Store)
+                       and not n.id.startswith("_") and n.id not in read]
+    assert unused == []
+
+
 def test_numbers_rendered_as_decimal_strings(capsys):
     _, doc = run_json(capsys, "norm", "--function", "log(e/(1 - z))",
                       "--space", "bmoa", "--J", "6")

@@ -364,13 +364,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         quad.default_bits()             # reject a bad precision before work
+        if args.csv:                    # and a CSV path that cannot be written
+            open(args.csv, "a").close()
         return args.fn(args)
     except ParseDiagnostic as exc:
         return _error_doc(EXIT_PARSE, exc)
     except (AdmissibilityError, ClassificationError, EvalDomainError,
-            ValueError, RecursionError) as exc:
-        # RecursionError: an expression nested deeper than the recursive
-        # parse, differentiation and evaluation of its tree can reach
+            ValueError, RecursionError, OSError) as exc:
+        # RecursionError: a tree nested deeper than its recursive parse,
+        # derivative and evaluation reach; OSError: an unwritable --csv path
         return _error_doc(EXIT_DOMAIN, exc)
     except (QuadFailure, FlowBlowupError, ArithmeticError) as exc:
         return _error_doc(EXIT_NUMERIC, exc)

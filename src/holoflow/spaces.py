@@ -241,30 +241,28 @@ def _box_average_family(f, w, J):
     Yields (j, averages), j = 0..J, one member per arc length frac 2^-j,
     frac in FRACS, averaged at the 2^(j+2) centers of the angular grid, each
     average already carrying the 1/l normalization and the weight's arc
-    factor.  Members are made one at a time, so only the master grid and
-    the current member are held.  f' is evaluated once on the whole grid
-    (Sarason's density is one ODE system over all points);
-    the per-ring prefix sums, then each member's window sums over its rings
-    in ring order, run on the pool in ~2^14-cell blocks of whole rings, then
-    of columns: the bits do not depend on the blocks or the workers.
+    factor.  Members are made one at a time, so only the master grid's cell
+    values, their per-ring prefix sums and the current member are held.
+    Each pool task takes a ~2^14-cell block of whole rings, forms z for its
+    rows and evaluates f' there, so a flow density (Sarason's) is one ODE
+    system per ring block; each member's window sums over its rings, in ring
+    order, run on the pool in blocks of columns: for a pointwise density the
+    bits do not depend on the blocks or the workers.
     """
     _, fp = FunctionHandle.of(f)
     r, wr, n_theta = _master_grid(J)
-    thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    z = r[:, None] * np.exp(1j * thetas[None, :])
-    vals = one_minus_abs_sq(z)      # then the cell values, ring by ring
-    dens = fp(z)
-    del z                # and dens after the ring pass: a lower memory peak
+    eit = np.exp(1j * (np.arange(n_theta) * (2.0 * math.pi / n_theta)))
+    vals = np.empty((r.size, n_theta))      # |f'|^2 (1-|z|^2), 0 if not finite
     pref = np.zeros((r.size, n_theta + 1))  # per-ring prefix sums of vals
 
     def rings(rows):
-        v = np.abs(dens[rows]) ** 2 * vals[rows]
+        z = r[rows, None] * eit[None, :]
+        v = np.abs(fp(z)) ** 2 * one_minus_abs_sq(z)
         vals[rows] = np.where(np.isfinite(v), v, 0.0)
         np.cumsum(vals[rows], axis=1, out=pref[rows, 1:])
 
     per = max(1, _CHUNK // n_theta)
     _map(rings, [slice(i, i + per) for i in range(0, r.size, per)])
-    del dens
     totals = pref[:, -1]
     dtheta = 2.0 * math.pi / n_theta
 

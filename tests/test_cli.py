@@ -378,6 +378,21 @@ def test_csv_sidecar_schema(tmp_path, capsys):
     assert any(line.startswith("trajectory_re,") for line in lines[1:])
 
 
+@pytest.mark.parametrize("where, exc", [
+    ("missing/series.csv", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+])
+def test_unwritable_csv_path_exits_3_before_the_command(tmp_path, capsys,
+                                                        monkeypatch, where,
+                                                        exc):
+    monkeypatch.setattr(cli, "cmd_classify", _must_not_run)
+    code, doc = run_json(capsys, "classify", "--generator", "-z",
+                         "--csv", str(tmp_path / where))  # one JSON document
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["type"] == exc
+
+
 def test_precision_bits_env_var(capsys, monkeypatch):
     monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", "320")
     _, doc = run_json(capsys, "classify", "--generator", "-z")

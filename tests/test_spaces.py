@@ -236,7 +236,9 @@ def test_box_family_single_worker_pool_gives_the_same_bytes(monkeypatch):
     # consumed before and inside the with block: a generator read after it
     # would run on a shut-down pool
     default = list(spaces._box_average_family(f, Weight.log(), 12))
-    with ThreadPoolExecutor(1) as pool:
+    # its worker is marked like the default pool's, so the density's own
+    # evaluation runs inline in the ring task rather than waiting on itself
+    with ThreadPoolExecutor(1, initializer=expr._mark_worker) as pool:
         monkeypatch.setattr(expr, "_POOL", pool)
         single = list(spaces._box_average_family(f, Weight.log(), 12))
     assert _same_family(single, default)
@@ -244,21 +246,49 @@ def test_box_family_single_worker_pool_gives_the_same_bytes(monkeypatch):
 
 def test_box_family_block_exception_reaches_the_caller():
     threads = []
-
-    class Faulty(np.ndarray):
-        # a density whose ring blocks past the first fail when read
-        def __getitem__(self, key):
-            if isinstance(key, slice) and key.start:
-                threads.append(threading.current_thread())
-                raise RuntimeError("ring block failed")
-            return super().__getitem__(key)
-
+    r0 = spaces._master_grid(8)[0][0]
     fv, fp = FunctionHandle.from_source(F_LOG)
+
+    def faulty(z):
+        # a density that fails on every ring block but the first
+        if z[0, 0].real != r0:
+            threads.append(threading.current_thread())
+            raise RuntimeError("ring block failed")
+        return fp(z)
+
     with pytest.raises(RuntimeError, match="ring block failed"):
-        list(spaces._box_average_family(
-            FunctionHandle(fv, lambda z: fp(z).view(Faulty)),
-            Weight.unit(), 8))
+        list(spaces._box_average_family(FunctionHandle(fv, faulty),
+                                        Weight.unit(), 8))
     assert threads and threading.main_thread() not in threads  # on the pool
+
+
+@pytest.mark.parametrize("J", [8, 12])
+def test_box_family_evaluates_the_density_on_blocks_of_whole_rings(J):
+    # every call gets whole rings of the master grid, at most 2^14 cells
+    # unless one ring is longer; the blocks cover each ring once, and their
+    # bytes are the rows of the whole grid z
+    r, _, n_theta = spaces._master_grid(J)
+    thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    grid = r[:, None] * np.exp(1j * thetas[None, :])
+    fv, fp = FunctionHandle.from_source(F_LOG)
+    blocks = []
+
+    def recording(z):
+        start = int(np.flatnonzero(r == z[0, 0].real)[0])
+        blocks.append((z.shape, start,
+                       z.tobytes() == grid[start:start + len(z)].tobytes()))
+        return fp(z)
+
+    list(spaces._box_average_family(FunctionHandle(fv, recording),
+                                    Weight.unit(), J))
+    assert blocks and all(ok for _, _, ok in blocks)
+    assert all(len(shape) == 2 and shape[1] == n_theta
+               and (shape[0] * n_theta <= 1 << 14 or shape[0] == 1)
+               for shape, _, _ in blocks)
+    covered = np.zeros(r.size, dtype=int)
+    for shape, start, _ in blocks:
+        covered[start:start + shape[0]] += 1
+    assert covered.tolist() == [1] * r.size
 
 
 def test_vmoa_verdicts():

@@ -1,7 +1,11 @@
 """Volterra operators, composition semigroups, continuity probes."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from holoflow.expr import FunctionHandle
 from holoflow.semigroup import FlowBlowupError, Generator
 from holoflow.volterra import (STANDARD_FAMILY, boundedness_probe,
                                compose_apply, continuity_probe, volterra_apply)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +127,43 @@ def test_continuity_probe_floor_for_bmoa_only_member():
     # the times ran on the pool with the bits of a serial loop
     want = _serial_continuity_values(gen, f, probe.times)
     assert np.array(probe.values).tobytes() == np.array(want).tobytes()
+
+
+def test_continuity_probe_matches_the_exact_rotation():
+    # under G = i z, phi_t(z) = e^{it} z, so C_t z - z has the constant
+    # derivative e^{it} - 1: the flowed seminorm against the exact one
+    gen = Generator.from_source("i*z")
+    probe = continuity_probe(gen, FunctionHandle.from_source("z"),
+                             (0.1, 0.01, 0.001))
+    for t, value in zip(probe.times, probe.values):
+        c = complex(np.exp(1j * t) - 1.0)
+        exact = FunctionHandle(lambda z: c * z,
+                               lambda z: np.full(np.shape(z), c))
+        assert value == pytest.approx(spaces.bmoa_seminorm(exact).value,
+                                      rel=5e-12, abs=0)
+
+
+_SARASON_PEAK = """
+import sys
+from holoflow import cli
+cli.main(["sarason", "--generator", "i*z", "--function", "log(e/(1 - z))"])
+status = open("/proc/self/status").read().split("VmHWM:")[1]
+print(status.split()[0], file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_sarason_peak_memory_stays_below_300_mb():
+    # the flows run ring block by ring block: no whole-grid z, f' or flow
+    # state is live.  The child reports VmHWM (KiB), the peak of its own
+    # process image: getrusage's ru_maxrss would also carry over the peak
+    # of this test process, which the forked child keeps across exec
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _SARASON_PEAK], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    assert int(proc.stderr.split()[-1]) < 300 * 1024
 
 
 def test_vmoa_members_decay_under_every_corpus_semigroup():

@@ -235,39 +235,41 @@ def _master_grid(J):
     return r, wr * 2.0 * r, n_theta
 
 
-def _box_average_family(f, w, J):
-    """Box averages of |f'|^2 (1-|z|^2) over the dyadic arc family.
+def _octave_sups(f, w, J):
+    """Per-octave sups [s_0, ..., s_J] of box averages of |f'|^2 (1-|z|^2).
 
-    Yields (j, averages), j = 0..J, one member per arc length frac 2^-j,
-    frac in FRACS, averaged at the 2^(j+2) centers of the angular grid, each
-    average already carrying the 1/l normalization and the weight's arc
-    factor.  Members are made one at a time, so only the master grid's cell
-    values, their per-ring prefix sums and the current member are held.
-    Each pool task takes a ~2^14-cell block of whole rings, forms z for its
-    rows and evaluates f' there, so a flow density (Sarason's) is one ODE
-    system per ring block; each member's window sums over its rings, in ring
-    order, run on the pool in blocks of columns: for a pointwise density the
-    bits do not depend on the blocks or the workers.
+    s_j is the max, from 0.0, over the arc lengths frac 2^-j, frac in FRACS,
+    and the 2^(j+2) centers of the angular grid, of the average with its 1/l
+    normalization and the weight's arc factor.  Only the master grid's cell
+    values and per-ring prefix sums are held.  Each pool task takes a
+    ~2^14-cell block of whole rings, forms z for its rows and evaluates f'
+    there, so a flow density (Sarason's) is one ODE system per ring block;
+    each member's window sums over its rings, in ring order, run on the pool
+    in ranges of centers, one max per task: for a pointwise density the bits
+    do not depend on the ranges or the workers.  A max that is not finite
+    (|f'|^2 or a prefix sum overflowed) raises QuadFailure.
     """
     _, fp = FunctionHandle.of(f)
     r, wr, n_theta = _master_grid(J)
     eit = np.exp(1j * (np.arange(n_theta) * (2.0 * math.pi / n_theta)))
-    vals = np.empty((r.size, n_theta))      # |f'|^2 (1-|z|^2), 0 if not finite
+    vals = np.empty((r.size, n_theta))      # |f'|^2 (1-|z|^2), 0 at inf/nan f'
     pref = np.zeros((r.size, n_theta + 1))  # per-ring prefix sums of vals
 
     def rings(rows):
         z = r[rows, None] * eit[None, :]
-        v = np.abs(fp(z)) ** 2 * one_minus_abs_sq(z)
-        vals[rows] = np.where(np.isfinite(v), v, 0.0)
-        np.cumsum(vals[rows], axis=1, out=pref[rows, 1:])
+        d = fp(z)
+        with np.errstate(all="ignore"):     # numpy's error state is per thread
+            vals[rows] = np.where(np.isfinite(d),
+                                  np.abs(d) ** 2 * one_minus_abs_sq(z), 0.0)
+            np.cumsum(vals[rows], axis=1, out=pref[rows, 1:])
 
     per = max(1, _CHUNK // n_theta)
     _map(rings, [slice(i, i + per) for i in range(0, r.size, per)])
-    totals = pref[:, -1]
-    dtheta = 2.0 * math.pi / n_theta
+    totals, dtheta = pref[:, -1], 2.0 * math.pi / n_theta
 
-    def windows(rows, h, c):
-        """Per center c, the weighted sum of the rings' integrals on c -+ h."""
+    def window_max(rows, h, n_c, span):
+        """Max over the centers in span of the rings' weighted sums on c -+ h."""
+        c = np.arange(span.start, span.stop) * (2.0 * math.pi / n_c)
         lo, hi = (c - h) / dtheta, (c + h) / dtheta
         wrap = np.floor(lo / n_theta)
         lo = lo - wrap * n_theta
@@ -280,21 +282,24 @@ def _box_average_family(f, w, J):
             return (full * totals[rows] + pref[rows, k]
                     + (x - k) * vals[rows, k])
 
-        return np.sum(wr[rows] * (cum(hi) - cum(lo)) / n_theta, axis=0)
+        with np.errstate(all="ignore"):
+            return np.max(np.sum(wr[rows] * (cum(hi) - cum(lo)) / n_theta,
+                                 axis=0))
 
-    for j in range(J + 1):
-        for frac in FRACS:
-            length = frac * 2.0 ** (-j)
-            n_c = 1 << (j + 2)
-            centers = np.arange(n_c) * (2.0 * math.pi / n_c)
-            box = GeodesicBox(Arc(0.0, length))
-            half = box.angular_halfwidth(r)  # per-ring halfwidth, nan = empty
-            rows = np.nonzero(half > 0.0)[0][:, None]
-            step = max(1, _CHUNK // max(rows.size, 1))
-            acc = np.concatenate(_map(
-                partial(windows, rows, half[rows]),
-                np.split(centers, range(step, n_c, step))))
-            yield j, w.arc_factor(length) * acc / length
+    sups = [0.0] * (J + 1)
+    for j, frac in itertools.product(range(J + 1), FRACS):
+        length, n_c = frac * 2.0 ** (-j), 1 << (j + 2)
+        # per-ring halfwidth, nan = empty
+        half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
+        rows = np.nonzero(half > 0.0)[0][:, None]
+        step = max(1, _CHUNK // max(rows.size, 1))
+        spans = [range(i, min(i + step, n_c)) for i in range(0, n_c, step)]
+        top = np.max(_map(partial(window_max, rows, half[rows], n_c), spans))
+        value = w.arc_factor(length) * float(top) / length
+        if not math.isfinite(value):
+            raise quad.QuadFailure("box average overflowed at j = %d" % j)
+        sups[j] = max(sups[j], value)
+    return sups
 
 
 def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
@@ -304,9 +309,7 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
     the running seminorm after each octave."""
     if not 0 <= J <= MAX_J:
         raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
-    sups = [0.0] * (J + 1)
-    for j, avgs in _box_average_family(f, w, J):
-        sups[j] = max(sups[j], float(np.max(avgs)))
+    sups = _octave_sups(f, w, J)
     history = [(j, math.sqrt(s))
                for j, s in enumerate(itertools.accumulate(sups, max))]
     tail = sups[-6:]
@@ -331,6 +334,8 @@ def bmoa_vanishing(f, w=Weight.unit()) -> LimitVerdict:
 def seminorm(f, space, w=Weight.unit(), J=8) -> SeminormReport:
     """The space's seminorm at depth J: bmoa_seminorm at J, or
     bloch_seminorm at resolution J + 4."""
+    if not 0 <= J <= MAX_J:
+        raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
     if space == "bmoa":
         return bmoa_seminorm(f, w, J=J)
     if space == "bloch":

@@ -4,13 +4,18 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from holoflow import cli, construct, quad
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -261,13 +266,56 @@ def test_block_property_failure_exits_5(capsys, monkeypatch):
 
 @pytest.mark.parametrize("space", ["bmoa", "bloch"])
 def test_depth_above_cap_exits_3(capsys, monkeypatch, space):
-    monkeypatch.setattr(cli.spaces, "_box_average_family", _must_not_run)
+    monkeypatch.setattr(cli.spaces, "_octave_sups", _must_not_run)
     monkeypatch.setattr(cli.spaces, "grid_sup", _must_not_run)
     code, doc = run_json(capsys, "norm", "--function", "z", "--space", space,
                          "--J", "21")
     assert code == cli.EXIT_DOMAIN
     assert doc["error"]["exit_code"] == 3
     assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("space", ["bmoa", "bloch"])
+@pytest.mark.parametrize("J", ["-1", "21"])
+def test_depth_error_names_the_depth_J(capsys, monkeypatch, space, J):
+    # Bloch runs at resolution J + 4, but the message names the J passed
+    monkeypatch.setattr(cli.spaces, "_octave_sups", _must_not_run)
+    monkeypatch.setattr(cli.spaces, "grid_sup", _must_not_run)
+    code, doc = run_json(capsys, "norm", "--function", "z", "--space", space,
+                         "--J", J)
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["message"] == \
+        "depth J must be in [0, 20], got %s" % J
+
+
+def _child_norm(source):
+    """norm --function source in a fresh interpreter, warnings on stderr."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("HOLOFLOW_PRECISION_BITS", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from holoflow import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", "norm", "--function", source],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("source", ["10^154*z", "10^160*z"])
+def test_overflowing_bmoa_seminorm_exits_4(source):
+    # |f'|^2 overflows at 10^160, the per-ring prefix sums at 10^154: the
+    # seminorm is a numerical failure, not 0
+    proc = _child_norm(source)
+    doc = json.loads(proc.stdout)             # exactly one JSON document
+    assert proc.returncode == cli.EXIT_NUMERIC
+    assert doc["error"]["exit_code"] == 4
+    assert doc["error"]["type"] == "QuadFailure"
+    assert proc.stderr == ""
+
+
+def test_large_finite_bmoa_seminorm_exits_0():
+    proc = _child_norm("10^150*z")
+    assert proc.returncode == cli.EXIT_OK
+    assert json.loads(proc.stdout)["value"] == "7.5763763550677224e+149"
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -144,13 +145,14 @@ def test_seminorm_dispatch_shares_the_depth_rule():
         seminorm(f, "bmo")
 
 
-def test_bmoa_seminorm_full_circle_oracle():
-    # average of |f'|^2 (1-|z|^2) over the whole disc for f = z is 1/2
-    # the family's first member is the full circle: j = 0 at frac 1.0
-    j, avgs = next(spaces._box_average_family(FunctionHandle.from_source(F_Z),
-                                              Weight.unit(), 0))
-    assert j == 0
-    assert math.sqrt(max(avgs)) == pytest.approx(math.sqrt(0.5), abs=1e-6)
+def test_bmoa_seminorm_full_circle_oracle(monkeypatch):
+    # average of |f'|^2 (1-|z|^2) over the whole disc for f = z is 1/2; with
+    # the full circle (j = 0 at frac 1.0) the only member, it is sups[0]
+    monkeypatch.setattr(spaces, "FRACS", (1.0,))
+    sups = spaces._octave_sups(FunctionHandle.from_source(F_Z), Weight.unit(),
+                               0)
+    assert len(sups) == 1
+    assert math.sqrt(sups[0]) == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
 def test_bmoa_seminorm_log_is_finite_and_moderate():
@@ -172,14 +174,15 @@ def test_bmoa_log_weighted_divergence_of_half_log():
     assert rep.trend == "growing"
 
 
-def _box_family_per_ring(fp, J, fracs=(1.0, 0.75)):
-    """Reference for spaces._box_average_family (unit weight): the same
-    windows, with ring contributions added one ring at a time."""
+def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
+    """Reference for spaces._octave_sups (unit weight): the same windows,
+    with ring contributions added one ring at a time, every member's
+    averages folded into its octave's sup."""
     r, wr, n_theta = spaces._master_grid(J)
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     z = r[:, None] * np.exp(1j * thetas[None, :])
-    vals = np.abs(fp(z)) ** 2 * one_minus_abs_sq(z)
-    vals = np.where(np.isfinite(vals), vals, 0.0)
+    d = fp(z)
+    vals = np.where(np.isfinite(d), np.abs(d) ** 2 * one_minus_abs_sq(z), 0.0)
     pref = np.concatenate([np.zeros((r.size, 1)), np.cumsum(vals, axis=1)],
                           axis=1)
     dtheta = 2.0 * math.pi / n_theta
@@ -190,7 +193,7 @@ def _box_family_per_ring(fp, J, fracs=(1.0, 0.75)):
         k = np.minimum(x.astype(int), n_theta - 1)
         return full * pref[i, -1] + pref[i, k] + (x - k) * vals[i, k]
 
-    out = []
+    sups = [0.0] * (J + 1)
     for j in range(J + 1):
         for frac in fracs:
             length = frac * 2.0 ** (-j)
@@ -208,40 +211,58 @@ def _box_family_per_ring(fp, J, fracs=(1.0, 0.75)):
                 wrap = np.floor(lo / n_theta)
                 acc += wr[i] * (cum(i, hi - wrap * n_theta)
                                 - cum(i, lo - wrap * n_theta)) / n_theta
-            out.append((j, acc / length))
-    return out
+            sups[j] = max(sups[j], float(np.max(acc / length)))
+    return sups
 
 
 def test_box_family_gather_equals_per_ring_loop():
-    # the gathered family adds the rings in the same order: equal bits; at
-    # J = 12 several ring blocks and column blocks run on the pool
+    # the gathered family adds the rings in the same order: equal bits, and
+    # a wrong average would move a sup; at J = 12 several ring blocks and
+    # center ranges run on the pool
     for src, J in ((F_LOG, 6), (F_LOGHALF, 9), ("(0.5 - z)/(1 - 0.5*z)", 3),
                    (F_LOG, 12)):
         f = FunctionHandle.from_source(src)
-        got = list(spaces._box_average_family(f, Weight.unit(), J))
-        ref = _box_family_per_ring(f.der, J)
-        assert len(got) == len(ref)
-        for k, ((j, avgs), (rj, ravgs)) in enumerate(zip(got, ref)):
-            assert j == rj
-            assert avgs.tobytes() == ravgs.tobytes(), (src, k)
-
-
-def _same_family(a, b):
-    return all(x[0] == y[0] and x[1].tobytes() == y[1].tobytes()
-               for x, y in zip(a, b)) and len(a) == len(b)
+        got = spaces._octave_sups(f, Weight.unit(), J)
+        ref = _octave_sups_per_ring(f.der, J)
+        assert isinstance(got, list) and len(got) == J + 1
+        assert [x.hex() for x in got] == [x.hex() for x in ref], src
 
 
 def test_box_family_single_worker_pool_gives_the_same_bytes(monkeypatch):
     f = FunctionHandle.from_source(F_LOG)
-    # consumed before and inside the with block: a generator read after it
-    # would run on a shut-down pool
-    default = list(spaces._box_average_family(f, Weight.log(), 12))
+    default = spaces._octave_sups(f, Weight.log(), 12)
     # its worker is marked like the default pool's, so the density's own
     # evaluation runs inline in the ring task rather than waiting on itself
     with ThreadPoolExecutor(1, initializer=expr._mark_worker) as pool:
         monkeypatch.setattr(expr, "_POOL", pool)
-        single = list(spaces._box_average_family(f, Weight.log(), 12))
-    assert _same_family(single, default)
+        single = spaces._octave_sups(f, Weight.log(), 12)
+    assert [x.hex() for x in single] == [x.hex() for x in default]
+
+
+def test_octave_sups_windows_pass_holds_no_member_array(monkeypatch):
+    # once the ring-block map has filled the master grid, the windows pass
+    # allocates per-task blocks only, never an array as long as a member's
+    # 2^18 centers (2 MiB each); one worker keeps the peak off the core count
+    real_map, grid = spaces._map, []
+
+    def map_then_reset(fn, items):
+        out = real_map(fn, items)
+        if not grid:
+            tracemalloc.reset_peak()
+            grid.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    f = FunctionHandle.from_source(F_LOG)
+    with ThreadPoolExecutor(1, initializer=expr._mark_worker) as pool:
+        monkeypatch.setattr(expr, "_POOL", pool)
+        monkeypatch.setattr(spaces, "_map", map_then_reset)
+        tracemalloc.start()
+        try:
+            spaces._octave_sups(f, Weight.unit(), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - grid[0] < 5e6
 
 
 def test_box_family_block_exception_reaches_the_caller():
@@ -257,8 +278,7 @@ def test_box_family_block_exception_reaches_the_caller():
         return fp(z)
 
     with pytest.raises(RuntimeError, match="ring block failed"):
-        list(spaces._box_average_family(FunctionHandle(fv, faulty),
-                                        Weight.unit(), 8))
+        spaces._octave_sups(FunctionHandle(fv, faulty), Weight.unit(), 8)
     assert threads and threading.main_thread() not in threads  # on the pool
 
 
@@ -279,8 +299,7 @@ def test_box_family_evaluates_the_density_on_blocks_of_whole_rings(J):
                        z.tobytes() == grid[start:start + len(z)].tobytes()))
         return fp(z)
 
-    list(spaces._box_average_family(FunctionHandle(fv, recording),
-                                    Weight.unit(), J))
+    spaces._octave_sups(FunctionHandle(fv, recording), Weight.unit(), J)
     assert blocks and all(ok for _, _, ok in blocks)
     assert all(len(shape) == 2 and shape[1] == n_theta
                and (shape[0] * n_theta <= 1 << 14 or shape[0] == 1)

@@ -29,6 +29,7 @@ of a rival is decided in mp, so the states are those of the all-mp searches.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -425,28 +426,44 @@ def _mp_ring(density, half, gap, weight, xv, wv):
     phi = gap sinh(v) clusters the nodes at 0, which resolves peaks there
     at any scale >= the gap.  The density must be even in the angle, to the
     bit: each node pair +-phi costs one call, density(phi, gap), counted
-    twice.
+    twice."""
+    return _ring_sum(density, _ring_nodes(half, gap, weight, xv, wv))
+
+
+def _ring_nodes(half, gap, weight, xv, wv):
+    """_mp_ring's density-free part: (gap, [(phi, jac)] per node pair,
+    weight, 1 - gap), the last three as _mpf_ tuples.
 
     A libmp kernel, one call per wrapper operation and so the same bits,
     of V = mp.asinh(half / gap), mid_v = half_v = V / 2 and
     per node v = mid_v + half_v * x, phi = gap * mp.sinh(v),
-    jac = gap * mp.cosh(v) * half_v * w, ring += jac * (d + d), then
-    weight * ring * (1 - gap) / mp.pi; one mpf_cosh_sinh gives both
+    jac = gap * mp.cosh(v) * half_v * w; one mpf_cosh_sinh gives both
     mp.cosh(v) and mp.sinh(v)."""
     prec, g = mp.mp.prec, gap._mpf_
     half_v = mpf_div(mpf_asinh(mpf_div(half._mpf_, g, prec, _RND), prec,
                                _RND), _TWO, prec, _RND)
-    ring = fzero
+    pairs = []
     for x, w in zip(xv, wv):
         v = mpf_add(half_v, mpf_mul(half_v, x._mpf_, prec, _RND), prec, _RND)
         cosh, sinh = mpf_cosh_sinh(v, prec, _RND)
         jac = mpf_mul(mpf_mul(mpf_mul(g, cosh, prec, _RND), half_v, prec,
                               _RND), w._mpf_, prec, _RND)
-        d = density(_mpf(mpf_mul(g, sinh, prec, _RND)), gap)._mpf_
+        pairs.append((_mpf(mpf_mul(g, sinh, prec, _RND)), jac))
+    return gap, pairs, weight._mpf_, mpf_sub(fone, g, prec, _RND)
+
+
+def _ring_sum(density, nodes):
+    """_mp_ring over _ring_nodes: a libmp kernel of ring += jac * (d + d)
+    per node pair, then weight * ring * (1 - gap) / mp.pi."""
+    prec = mp.mp.prec
+    gap, pairs, weight, one_minus_gap = nodes
+    ring = fzero
+    for phi, jac in pairs:
+        d = density(phi, gap)._mpf_
         ring = mpf_add(ring, mpf_mul(jac, mpf_add(d, d, prec, _RND), prec,
                                      _RND), prec, _RND)
-    total = mpf_mul(mpf_mul(weight._mpf_, ring, prec, _RND),
-                    mpf_sub(fone, g, prec, _RND), prec, _RND)
+    total = mpf_mul(mpf_mul(weight, ring, prec, _RND), one_minus_gap, prec,
+                    _RND)
     return _mpf(mpf_div(total, mpf_pi(prec, _RND), prec, _RND))
 
 
@@ -486,6 +503,21 @@ def mp_box_average(density, length):
     length = mp.mpf(length)
     if length >= mp.mpf("0.4"):
         raise ValueError("mp_box_average expects arcs of length < 0.4")
+    if _box_rings_memo is None:
+        rings = _box_rings(length)
+    elif length in _box_rings_memo:
+        rings = _box_rings_memo[length]
+    else:
+        rings = _box_rings_memo[length] = _box_rings(length)
+    total = mp.mpf(0)
+    for nodes in rings:
+        total += _ring_sum(density, nodes)
+    return total / length
+
+
+def _box_rings(length):
+    """mp_box_average's _ring_nodes for the arc length, one per radial node
+    whose box section is not empty, outermost first."""
     gmax = _box_gap_max(length)
     xg, wg = _gl(4)
     xv, wv = _gl(8)
@@ -497,12 +529,27 @@ def mp_box_average(density, length):
         u = umax / 2 + (umax / 2) * x
         nodes.append((gmax - u * u, (umax / 2) * w * 2 * u))
     nodes += _panel_nodes([gmax / 2 ** k for k in range(1, 24)], xg, wg)
-    total = mp.mpf(0)
+    rings = []
     for gap, weight in nodes:
         half = _box_halfwidth(gap, length)
         if half is not None and half > 0:
-            total += _mp_ring(density, half, gap, weight, xv, wv)
-    return total / length
+            rings.append(_ring_nodes(half, gap, weight, xv, wv))
+    return rings
+
+
+# While a build runs, {arc length: _box_rings(length)} at its precision: its
+# searches, (d) and property (2) average over the same arcs more than once.
+_box_rings_memo = None
+
+
+@contextlib.contextmanager
+def _box_rings_per_build():
+    global _box_rings_memo
+    outer, _box_rings_memo = _box_rings_memo, {}
+    try:
+        yield
+    finally:
+        _box_rings_memo = outer
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +890,7 @@ def _witness(describe, symbol, n_max) -> ConstructionState:
     if n_max < 1:
         raise ValueError("n_max must be at least 1, got %r" % (n_max,))
     bits = default_bits()
-    with mp.workprec(bits):
+    with mp.workprec(bits), _box_rings_per_build():
         space = describe()
         p = space.p
         state = ConstructionState(space.mode, symbol.name, bits, space.scale,

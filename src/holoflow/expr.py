@@ -3,6 +3,10 @@
 Expressions are immutable trees over the variable z, complex constants
 (including the literals i and e), the four arithmetic operations, powers with
 a real constant exponent, and exp / log / sqrt (principal branch everywhere).
+A half-integer power u^p is an integer power of the principal square root
+sqrt(u) (p > 0) or of its reciprocal (p < 0), which equals the principal u^p
+because arg sqrt(u) lies in (-pi/2, pi/2]; numpy's complex power then
+multiplies instead of taking exp(p log u).
 Evaluation accepts either a scalar complex or a numpy array of points and is
 pure, so trees can be shared freely between workers.  Arrays are evaluated in
 2^14-point chunks, one tree walk each, on a thread pool with one worker per
@@ -273,13 +277,30 @@ def _walk(node, z, memo):
         elif cls is Const:
             v = np.array([node.value])
         elif cls is Pow:
-            v = np.power(_walk(node.a, z, memo), node.p)
+            v = _power(_walk(node.a, z, memo), node.p)
         elif cls in _UFUNC:
             v = _UFUNC[cls](*(_walk(getattr(node, s), z, memo) for s in cls.__slots__))
         else:
             raise TypeError("unknown node %s" % cls.__name__)
         memo[id(node)] = v
     return v
+
+
+def _power(u, p):
+    """Principal u^p; for 2p odd, sqrt(u)^(2p) or (1/sqrt(u))^(-2p), where
+    1/sqrt(u) = conj(sqrt(u)) / |u| takes two real divisions."""
+    q = 2.0 * p
+    if q % 2.0 != 1.0:
+        return np.power(u, p)
+    root = np.sqrt(u)
+    if q > 0:
+        return np.power(root, q, out=root)
+    size = np.abs(u)
+    root.real /= size
+    root.imag /= size
+    np.negative(root.imag, out=root.imag)
+    root[np.isinf(size)] = 0.0      # the limit at infinity, not inf/inf
+    return np.power(root, -q, out=root)
 
 
 def differentiate(expr):

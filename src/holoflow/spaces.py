@@ -241,19 +241,29 @@ def _octave_sups(f, w, J):
     s_j is the max, from 0.0, over the arc lengths frac 2^-j, frac in FRACS,
     and the 2^(j+2) centers of the angular grid, of the average with its 1/l
     normalization and the weight's arc factor.  Only the master grid's cell
-    values and per-ring prefix sums are held.  Each pool task takes a
-    ~2^14-cell block of whole rings, forms z for its rows and evaluates f'
-    there, so a flow density (Sarason's) is one ODE system per ring block;
-    each member's window sums over its rings, in ring order, run on the pool
-    in ranges of centers, one max per task: for a pointwise density the bits
-    do not depend on the ranges or the workers.  A max that is not finite
-    (|f'|^2 or a prefix sum overflowed) raises QuadFailure.
+    values and per-ring prefix sums are held, side by side so that one
+    gather reads both.  Each pool task takes a ~2^14-cell block of whole
+    rings, forms z for its rows and evaluates f' there, so a flow density
+    (Sarason's) is one ODE system per ring block.
+
+    Center i of n_c sits at cell i n_theta / n_c, an exact dyadic number:
+    with g = max(1, n_c / n_theta), center g m + p sits at cell stride m +
+    p / g.  So each window end is stride m + a + f with a whole a and f in
+    [0, 1) fixed per (ring, p), and per (ring, center) only integer indices
+    and the gathers remain.  Each member's window sums over its rings, in
+    ring order, run on the pool in ranges of centers, one max per task: for
+    a pointwise density the bits do not depend on the ranges or the workers.
+    A max that is not finite (|f'|^2 or a prefix sum overflowed) raises
+    QuadFailure.
     """
     _, fp = FunctionHandle.of(f)
     r, wr, n_theta = _master_grid(J)
     eit = np.exp(1j * (np.arange(n_theta) * (2.0 * math.pi / n_theta)))
-    vals = np.empty((r.size, n_theta))      # |f'|^2 (1-|z|^2), 0 at inf/nan f'
-    pref = np.zeros((r.size, n_theta + 1))  # per-ring prefix sums of vals
+    # cells[i, k] = (sum of ring i's values before cell k, value of cell k),
+    # a value |f'|^2 (1-|z|^2), 0 where f' is inf/nan; cells[i, n_theta, 0]
+    # is the ring's total
+    cells = np.zeros((r.size, n_theta + 1, 2))
+    pref, vals = cells[:, :, 0], cells[:, :-1, 1]
 
     def rings(rows):
         z = r[rows, None] * eit[None, :]
@@ -265,36 +275,53 @@ def _octave_sups(f, w, J):
 
     per = max(1, _CHUNK // n_theta)
     _map(rings, [slice(i, i + per) for i in range(0, r.size, per)])
-    totals, dtheta = pref[:, -1], 2.0 * math.pi / n_theta
+    flat = cells.view(complex).reshape(-1)     # pref + 1j vals, flat
+    shift, dtheta = n_theta.bit_length() - 1, 2.0 * math.pi / n_theta
 
-    def window_max(rows, h, n_c, span):
-        """Max over the centers in span of the rings' weighted sums on c -+ h."""
-        c = np.arange(span.start, span.stop) * (2.0 * math.pi / n_c)
-        lo, hi = (c - h) / dtheta, (c + h) / dtheta
-        wrap = np.floor(lo / n_theta)
-        lo = lo - wrap * n_theta
-        hi = hi - wrap * n_theta
-
-        def cum(x):
-            full = np.floor(x / n_theta)
-            x = x - full * n_theta
-            k = np.minimum(x.astype(int), n_theta - 1)
-            return (full * totals[rows] + pref[rows, k]
-                    + (x - k) * vals[rows, k])
-
+    def window_max(member, span):
+        """Max over the centers in span of the rings' weighted sums of
+        cum(hi) - cum(lo), cum = turns total + pref + frac vals."""
+        row, a_lo, a_hi, f_lo, f_hi, total, weight, g, stride = member
+        n = len(span)
+        cell = np.arange(span.start, span.stop) // g * stride
+        lo, hi = a_lo[:, :n] + cell, a_hi[:, :n] + cell   # (rings, centers)
         with np.errstate(all="ignore"):
-            return np.max(np.sum(wr[rows] * (cum(hi) - cum(lo)) / n_theta,
-                                 axis=0))
+            s = total * ((hi >> shift) - (lo >> shift))
+            lo &= n_theta - 1
+            hi &= n_theta - 1
+            lo += row
+            hi += row
+            at_lo, at_hi = flat.take(lo), flat.take(hi)
+            # in place: the gathered vals become frac vals, lo's plus pref
+            at_hi.imag *= f_hi[:, :n]
+            s += at_hi.real
+            s += at_hi.imag
+            at_lo.imag *= f_lo[:, :n]
+            at_lo.imag += at_lo.real
+            s -= at_lo.imag
+            s *= weight
+            return np.max(np.sum(s, axis=0))
 
     sups = [0.0] * (J + 1)
     for j, frac in itertools.product(range(J + 1), FRACS):
         length, n_c = frac * 2.0 ** (-j), 1 << (j + 2)
         # per-ring halfwidth, nan = empty
         half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
-        rows = np.nonzero(half > 0.0)[0][:, None]
-        step = max(1, _CHUNK // max(rows.size, 1))
+        rows = np.nonzero(half > 0.0)[0]
+        g, stride = max(1, n_c // n_theta), max(1, n_theta // n_c)
+        # ranges of whole phase cycles; the (ring, phase) tables are tiled
+        # to a range's width, so column c holds phase c mod g
+        step = max(1, _CHUNK // max(rows.size * g, 1)) * g
+        phase, hc = np.arange(g) / g, half[rows, None] / dtheta
+        lo, hi = phase - hc, phase + hc                       # (rings, g)
+        a_lo, a_hi = np.floor(lo), np.floor(hi)
+        tiled = [np.tile(x, step // g) for x in (a_lo.astype(np.int64),
+                                                  a_hi.astype(np.int64),
+                                                  lo - a_lo, hi - a_hi)]
+        member = (rows[:, None] * (n_theta + 1), *tiled, pref[rows, -1:],
+                  wr[rows, None] / n_theta, g, stride)
         spans = [range(i, min(i + step, n_c)) for i in range(0, n_c, step)]
-        top = np.max(_map(partial(window_max, rows, half[rows], n_c), spans))
+        top = np.max(_map(partial(window_max, member), spans))
         value = w.arc_factor(length) * float(top) / length
         if not math.isfinite(value):
             raise quad.QuadFailure("box average overflowed at j = %d" % j)

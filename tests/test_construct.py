@@ -135,6 +135,40 @@ def test_mp_box_average_resolves_peaked_density():
     assert mp_avg == pytest.approx(ref, rel=1e-3)
 
 
+def test_box_ring_nodes_are_computed_once_per_length_per_build(monkeypatch):
+    # mp_box_average takes one _box_halfwidth per radial node (4 + 22 x 4 =
+    # 92); a build reuses an arc length's nodes, so it makes 92 calls per
+    # distinct length although its averages repeat lengths, and the next
+    # build computes them again
+    halfwidths, lengths = [], []
+    box_halfwidth = construct._box_halfwidth
+    box_average = construct.mp_box_average
+
+    def counted_halfwidth(gap, length):
+        halfwidths.append(length)
+        return box_halfwidth(gap, length)
+
+    def recorded_average(density, length):
+        lengths.append(mp.mpf(length))
+        return box_average(density, length)
+
+    monkeypatch.setattr(construct, "_box_halfwidth", counted_halfwidth)
+    monkeypatch.setattr(construct, "mp_box_average", recorded_average)
+    monkeypatch.setenv("HOLOFLOW_PRECISION_BITS", "256")
+    builds = []
+    for n_max in (4, 1):
+        halfwidths.clear()
+        lengths.clear()
+        construct.build_bmoa(n_max=n_max)
+        builds.append((len(halfwidths), set(lengths), len(lengths)))
+    (calls_4, seen_4, n_4), (calls_1, seen_1, _) = builds
+    assert len(seen_4) < n_4
+    assert calls_4 == 92 * len(seen_4)
+    assert seen_1 and seen_1 <= seen_4
+    assert calls_1 == 92 * len(seen_1)
+    assert construct._box_rings_memo is None
+
+
 # ---------------------------------------------------------------------------
 # the mirrored-node fold: one density call per node pair +-phi
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import ast
 import cmath
+import functools
 import inspect
+import math
 import multiprocessing
 import os
 import queue
@@ -242,6 +244,79 @@ def test_principal_branch_half_power():
     assert _eval(tree, 0.0j) == pytest.approx(1.0)
 
 
+def _power_points():
+    """20,000 random points over 16 decades of modulus, plus 0, +-1, negative
+    reals on both sides of the cut, infinities, nan, |u| ~ 1e+-300 and
+    subnormal |u|, where 1/u overflows."""
+    rng = np.random.default_rng(2021)
+    u = 10.0 ** rng.uniform(-8, 8, 20000) \
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, 20000))
+    special = [0j, 1 + 0j, -1 + 0j, complex(-1, -0.0), complex(-2.5, 0.0),
+               complex(-2.5, -0.0), complex(-1e-300, 0.0), complex(-1e300, -0.0),
+               complex(np.inf, 0.0), complex(-np.inf, 0.0), complex(0.0, np.inf),
+               complex(np.inf, -np.inf), complex(np.nan, 0.0),
+               complex(np.nan, np.nan), complex(5e-324, 0.0),
+               complex(-1e-310, -0.0)]
+    special += [m * cmath.exp(1j * a) for m in (1e300, 3e-300, 1e-300, 1e-310)
+                for a in (0.0, 0.3, 1.7, 3.0, -0.4)]
+    return np.concatenate([u, special])
+
+
+@functools.lru_cache(maxsize=None)
+def _principal_powers_mp():
+    """{p: u^p} over _power_points for p = +-1/2, +-3/2, +-5/2: mpmath's
+    principal u^(1/2) at 200 bits, then u^(3/2) = u u^(1/2), u^(5/2) =
+    u u^(3/2) and u^-p = 1/u^p at 200 bits, each rounded to a complex (inf
+    or 0 outside the double range, nan at non-finite u and at 0^-p).  On the
+    cut, a zero imaginary part's sign picks the side, by the C99 rule
+    (conj u)^p = conj(u^p); mpmath's zero carries no sign."""
+    from mpmath import libmp
+    prec, one = 200, (libmp.fone, libmp.fzero)
+    refs = {p: [] for p in (0.5, 1.5, 2.5, -0.5, -1.5, -2.5)}
+    for x in _power_points().tolist():
+        below = x.imag == 0.0 and math.copysign(1.0, x.imag) < 0
+        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+            vals = [complex(math.nan, math.nan)] * 6
+        else:
+            u = (libmp.from_float(x.real),
+                 libmp.from_float(abs(x.imag) if below else x.imag))
+            s = libmp.mpc_pow_mpf(u, libmp.from_float(0.5), prec)
+            pos = [s, libmp.mpc_mul(u, s, prec)]
+            pos.append(libmp.mpc_mul(u, pos[1], prec))
+            neg = ([libmp.mpc_div(one, v, prec) for v in pos] if x != 0
+                   else [(libmp.fnan, libmp.fnan)] * 3)
+            vals = [libmp.mpc_to_complex(v) for v in pos + neg]
+        for p, v in zip(refs, vals):
+            refs[p].append(v.conjugate() if below else v)
+    return {p: np.array(v) for p, v in refs.items()}
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5, 1.5, -1.5, 2.5, -2.5])
+def test_half_integer_power_matches_the_principal_power(p):
+    # principal u^p through the square root: non-finite exactly where
+    # numpy's exp(p log u) power is; within 2e-15 relative of the 200-bit
+    # value wherever u and that value are normal doubles; at subnormal |u|,
+    # whose rounding 1/sqrt(u) = conj(sqrt(u))/|u| carries, no worse than
+    # np.power there
+    u = _power_points()
+    ref = _principal_powers_mp()[p]
+    with np.errstate(all="ignore"):
+        got = expr.evaluate_array(expr.Pow(expr.Var(), p), u)
+        direct = np.power(u, p)
+        # rounding the reference to a double adds at most 2^-53 relative
+        err = np.abs(got - ref) / np.abs(ref)
+        err_direct = np.abs(direct - ref) / np.abs(ref)
+    assert np.array_equal(np.isfinite(got), np.isfinite(direct))
+    tiny = 2.2250738585072014e-308
+    valid = np.isfinite(ref) & (np.abs(ref) >= tiny)
+    normal = valid & (np.abs(u) >= tiny)
+    assert normal.sum() > 20000
+    assert err[normal].max() <= 2e-15
+    sub = valid & ~normal            # u^p is a normal double for p = +-1/2 only
+    assert sub.sum() >= (5 if abs(p) == 0.5 else 0)
+    assert err[sub].max(initial=0.0) <= err_direct[sub].max(initial=0.0)
+
+
 # ---------------------------------------------------------------------------
 # the single-walk evaluator against the recursive reference
 # ---------------------------------------------------------------------------
@@ -266,6 +341,16 @@ def _reference(node, z):
     if isinstance(node, expr.Neg):
         return -ev(node.a)
     if isinstance(node, expr.Pow):
+        # a half-integer power is an integer power of the principal root
+        if (2.0 * node.p) % 2.0 == 1.0:
+            u = ev(node.a)
+            root = np.sqrt(u)
+            if node.p > 0:
+                return np.power(root, 2.0 * node.p)
+            size = np.abs(u)
+            inv = root.real / size - 1j * (root.imag / size)
+            inv[np.isinf(size)] = 0.0
+            return np.power(inv, -2.0 * node.p)
         return np.power(ev(node.a), node.p)
     return {expr.Exp: np.exp, expr.Log: np.log, expr.Sqrt: np.sqrt}[type(node)](ev(node.a))
 

@@ -1,5 +1,6 @@
 """Seminorms, vanishing verdicts, weights, Garsia integrals, conditions."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -174,10 +175,9 @@ def test_bmoa_log_weighted_divergence_of_half_log():
     assert rep.trend == "growing"
 
 
-def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
-    """Reference for spaces._octave_sups (unit weight): the same windows,
-    with ring contributions added one ring at a time, every member's
-    averages folded into its octave's sup."""
+def _master_cells(fp, J):
+    """The master grid whole: (r, ring weights, n_theta, cell values
+    |f'|^2 (1-|z|^2), 0 where f' is not finite, per-ring prefix sums)."""
     r, wr, n_theta = spaces._master_grid(J)
     thetas = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     z = r[:, None] * np.exp(1j * thetas[None, :])
@@ -185,14 +185,18 @@ def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
     vals = np.where(np.isfinite(d), np.abs(d) ** 2 * one_minus_abs_sq(z), 0.0)
     pref = np.concatenate([np.zeros((r.size, 1)), np.cumsum(vals, axis=1)],
                           axis=1)
+    return r, wr, n_theta, vals, pref
+
+
+def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
+    """Reference for spaces._octave_sups (unit weight): the same windows,
+    with ring contributions added one ring at a time, every member's
+    averages folded into its octave's sup.  Center i of n_c sits at cell
+    i n_theta / n_c = cell + phase exactly; a window end phase -+ h/dtheta
+    is split into a whole and a fraction, and the whole, added to cell, into
+    turns of the ring and a cell index."""
+    r, wr, n_theta, vals, pref = _master_cells(fp, J)
     dtheta = 2.0 * math.pi / n_theta
-
-    def cum(i, x):
-        full = np.floor(x / n_theta)
-        x = x - full * n_theta
-        k = np.minimum(x.astype(int), n_theta - 1)
-        return full * pref[i, -1] + pref[i, k] + (x - k) * vals[i, k]
-
     sups = [0.0] * (J + 1)
     for j in range(J + 1):
         for frac in fracs:
@@ -200,17 +204,23 @@ def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
             if length > 1.0:
                 continue
             n_c = 1 << (j + 2)
-            centers = np.arange(n_c) * (2.0 * math.pi / n_c)
+            cell, phase = np.divmod(np.arange(n_c) * n_theta, n_c)
+            phase = phase / n_c
             half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
             acc = np.zeros(n_c)
             for i in range(r.size):
                 h = float(half[i])
                 if math.isnan(h) or h <= 0.0:
                     continue
-                lo, hi = (centers - h) / dtheta, (centers + h) / dtheta
-                wrap = np.floor(lo / n_theta)
-                acc += wr[i] * (cum(i, hi - wrap * n_theta)
-                                - cum(i, lo - wrap * n_theta)) / n_theta
+                ends = []
+                for x in (phase - h / dtheta, phase + h / dtheta):
+                    whole = np.floor(x)
+                    turns, k = np.divmod(cell + whole.astype(int), n_theta)
+                    ends.append((turns, pref[i, k], (x - whole) * vals[i, k]))
+                (t_lo, p_lo, v_lo), (t_hi, p_hi, v_hi) = ends
+                # cum(x) = turns total + pref + frac vals, turns counted from lo's
+                cum_hi = (t_hi - t_lo) * pref[i, -1] + p_hi + v_hi
+                acc += wr[i] * (cum_hi - (p_lo + v_lo)) / n_theta
             sups[j] = max(sups[j], float(np.max(acc / length)))
     return sups
 
@@ -226,6 +236,104 @@ def test_box_family_gather_equals_per_ring_loop():
         ref = _octave_sups_per_ring(f.der, J)
         assert isinstance(got, list) and len(got) == J + 1
         assert [x.hex() for x in got] == [x.hex() for x in ref], src
+
+
+def _parent_window_sums(cells, n_c, half):
+    """One member's window sums with the per-element float window ends of
+    the formula the lattice replaced: (c -+ h)/dtheta from the center angle
+    c in radians, wrapped and split into cells in floating point."""
+    r, wr, n_theta, vals, pref = cells
+    dtheta = 2.0 * math.pi / n_theta
+    centers = np.arange(n_c) * (2.0 * math.pi / n_c)
+
+    def cum(i, x):
+        full = np.floor(x / n_theta)
+        x = x - full * n_theta
+        k = np.minimum(x.astype(int), n_theta - 1)
+        return full * pref[i, -1] + pref[i, k] + (x - k) * vals[i, k]
+
+    acc = np.zeros(n_c)
+    for i in np.nonzero(half > 0.0)[0]:
+        lo, hi = (centers - half[i]) / dtheta, (centers + half[i]) / dtheta
+        wrap = np.floor(lo / n_theta)
+        acc += wr[i] * (cum(i, hi - wrap * n_theta)
+                        - cum(i, lo - wrap * n_theta)) / n_theta
+    return acc
+
+
+def _exact_window_sum(cells, n_c, half, center):
+    """The window sum of one center at 200 bits from the same float cell
+    values and prefix sums, the ends at i n_theta / n_c -+ h n_theta / 2 pi
+    cells with pi to 200 bits."""
+    import mpmath as mp
+    r, wr, n_theta, vals, pref = cells
+    with mp.workprec(200):
+        def cum(i, x):
+            turns = mp.floor(x / n_theta)
+            x -= turns * n_theta
+            k = int(mp.floor(x))
+            return (turns * float(pref[i, -1]) + float(pref[i, k])
+                    + (x - k) * float(vals[i, k]))
+
+        total, c = mp.mpf(0), mp.mpf(int(center) * n_theta) / n_c
+        for i in np.nonzero(half > 0.0)[0]:
+            h = mp.mpf(float(half[i])) * n_theta / (2 * mp.pi)
+            total += (mp.mpf(float(wr[i])) / n_theta
+                      * (cum(i, c + h) - cum(i, c - h)))
+        return total
+
+
+def _coarse_angles(monkeypatch):
+    """A master grid of 64 angles: from j = 5 on, a member has n_c / 64 =
+    2, 4, 8 centers per cell, as the members above j = 14 of J > 14 have on
+    the full grid."""
+    grid = spaces._master_grid
+    monkeypatch.setattr(spaces, "_master_grid", lambda J: grid(J)[:2] + (64,))
+
+
+def test_box_family_with_several_centers_per_cell_equals_per_ring_loop(
+        monkeypatch):
+    _coarse_angles(monkeypatch)
+    for src in (F_LOG, F_LOGHALF):
+        f = FunctionHandle.from_source(src)
+        got = spaces._octave_sups(f, Weight.unit(), 7)
+        ref = _octave_sups_per_ring(f.der, 7)
+        assert [x.hex() for x in got] == [x.hex() for x in ref], src
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+@pytest.mark.parametrize("src", [F_LOG, F_LOGHALF, "z^3 + 2*z"])
+def test_lattice_window_ends_are_at_least_as_accurate_as_float_ends(
+        src, coarse, monkeypatch):
+    # Each octave's lattice sup is within 1e-13 of the 200-bit sup over the
+    # same float cells, and its worst octave is no further from it than the
+    # float-end formula's worst, or within 4 rounding units: at that floor
+    # the arithmetic both share, cum(hi) - cum(lo) with cum = turns total +
+    # pref + frac vals, decides, and either may land nearer.  The exact max
+    # is over the centers whose float sum is within 1e-9 of the member's
+    # max, which holds it while the float sums are within 5e-10 of their
+    # exact values.  The 64-angle grid runs J = 6, 7, whose deepest members
+    # have 2 to 8 centers per cell.
+    if coarse:
+        _coarse_angles(monkeypatch)
+    f = FunctionHandle.from_source(src)
+    for J in (6, 7) if coarse else (3, 6):
+        cells = _master_cells(f.der, J)
+        lattice = spaces._octave_sups(f, Weight.unit(), J)
+        parent, exact = [0.0] * (J + 1), [0.0] * (J + 1)
+        for j, frac in itertools.product(range(J + 1), spaces.FRACS):
+            length, n_c = frac * 2.0 ** (-j), 1 << (j + 2)
+            half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(cells[0])
+            acc = _parent_window_sums(cells, n_c, half)
+            top = float(np.max(acc))
+            parent[j] = max(parent[j], top / length)
+            near = np.nonzero(acc >= top - 1e-9 * abs(top))[0]
+            exact[j] = max([exact[j]] + [
+                _exact_window_sum(cells, n_c, half, c) / length for c in near])
+        err = max(abs(lattice[j] / exact[j] - 1) for j in range(J + 1))
+        err_parent = max(abs(parent[j] / exact[j] - 1) for j in range(J + 1))
+        assert err <= 1e-13, (src, J)
+        assert err <= max(err_parent, 4 * 2.0 ** -53), (src, J)
 
 
 def test_box_family_single_worker_pool_gives_the_same_bytes(monkeypatch):

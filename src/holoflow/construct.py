@@ -77,7 +77,7 @@ class BlockPropertyError(AssertionError):
 # ---------------------------------------------------------------------------
 #
 # The hot formulas (_box_halfwidth, _one_minus_z, _beta_mp, the symbol
-# densities, the _mp_ring node loop and the F_n sums) are straight-line
+# densities, the ring node and sum loops and the F_n sums) are straight-line
 # mpmath.libmp kernels on _mpf_/_mpc_ tuples.  Each mpf/mpc wrapper
 # operation of the formula in its docstring is one libmp call on the same
 # operands in the same order, at mp.mp.prec with round-to-nearest, which is
@@ -420,19 +420,11 @@ def _gl(n):
     return [mp.mpf(v) for v in x], [mp.mpf(v) for v in w]
 
 
-def _mp_ring(density, half, gap, weight, xv, wv):
-    """Radial weight times int density dm over the ring section
-    |theta| <= half at gap, per unit radial width.  The angle
-    phi = gap sinh(v) clusters the nodes at 0, which resolves peaks there
-    at any scale >= the gap.  The density must be even in the angle, to the
-    bit: each node pair +-phi costs one call, density(phi, gap), counted
-    twice."""
-    return _ring_sum(density, _ring_nodes(half, gap, weight, xv, wv))
-
-
 def _ring_nodes(half, gap, weight, xv, wv):
-    """_mp_ring's density-free part: (gap, [(phi, jac)] per node pair,
-    weight, 1 - gap), the last three as _mpf_ tuples.
+    """The nodes of a ring section |theta| <= half at gap, density-free:
+    (gap, [(phi, jac)] per node pair, weight, 1 - gap), the last three as
+    _mpf_ tuples.  The angle phi = gap sinh(v) clusters the nodes at 0,
+    which resolves peaks there at any scale >= the gap.
 
     A libmp kernel, one call per wrapper operation and so the same bits,
     of V = mp.asinh(half / gap), mid_v = half_v = V / 2 and
@@ -453,8 +445,11 @@ def _ring_nodes(half, gap, weight, xv, wv):
 
 
 def _ring_sum(density, nodes):
-    """_mp_ring over _ring_nodes: a libmp kernel of ring += jac * (d + d)
-    per node pair, then weight * ring * (1 - gap) / mp.pi."""
+    """Radial weight times int density dm over the ring section of
+    _ring_nodes, per unit radial width.  The density must be even in the
+    angle, to the bit: each node pair +-phi costs one call, density(phi,
+    gap), counted twice.  A libmp kernel of ring += jac * (d + d) per node
+    pair, then weight * ring * (1 - gap) / mp.pi."""
     prec = mp.mp.prec
     gap, pairs, weight, one_minus_gap = nodes
     ring = fzero
@@ -479,13 +474,13 @@ def _panel_nodes(edges, xg, wg):
 
 def mp_disc_integral(density):
     """int density dm for densities peaked at angle 0 (sinh-clustered) and
-    even in the angle (_mp_ring): 41 dyadic gap panels, the last one
+    even in the angle (_ring_sum): 41 dyadic gap panels, the last one
     reaching the boundary, with 4 gap and 10 angular nodes each."""
     xv, wv = _gl(10)
     edges = [mp.mpf(1) / 2 ** k for k in range(41)] + [mp.mpf(0)]
     total = mp.mpf(0)
     for gap, weight in _panel_nodes(edges, *_gl(4)):
-        total += _mp_ring(density, mp.pi, gap, weight, xv, wv)
+        total += _ring_sum(density, _ring_nodes(mp.pi, gap, weight, xv, wv))
     return total
 
 
@@ -497,7 +492,7 @@ def mp_box_average(density, length):
     a sqrt kink at the closest point), then 22 dyadic gap panels, 4 nodes
     each.  Angular: 8 nodes in phi = gap sinh(v), which resolves densities
     peaked at the arc center at any scale >= the ring gap.  The density must
-    be even in the angle, to the bit (_mp_ring); every density the
+    be even in the angle, to the bit (_ring_sum); every density the
     constructions pass is, since their blocks sit at angle 0.
     """
     length = mp.mpf(length)

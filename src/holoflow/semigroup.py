@@ -61,22 +61,19 @@ class Classification:
 
 @dataclass
 class Generator:
-    """Holomorphic vector field with cached derivative and optional metadata."""
+    """Holomorphic vector field with its derivative and optional metadata."""
 
     G: _expr.HoloExpr
     bp_tau: complex | None = None
-    _dG: _expr.HoloExpr | None = field(default=None, repr=False)
+    dG: _expr.HoloExpr = field(init=False, repr=False)
     _classification: Classification | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.dG = _expr.differentiate(self.G)
 
     @staticmethod
     def from_source(text) -> "Generator":
         return Generator(_expr.parse(text))
-
-    @property
-    def dG(self) -> _expr.HoloExpr:
-        if self._dG is None:
-            self._dG = _expr.differentiate(self.G)
-        return self._dG
 
 
 def _sample_grid():

@@ -1,9 +1,11 @@
 """Bloch/BMOA seminorm estimators, vanishing tests, and minimality verdicts.
 
-Seminorms are certified grid lower bounds with refinement diagnostics, never
-exact norms.  Box averages over the dyadic arc family are computed on a master
-polar grid with per-ring angular prefix sums, so the whole family costs one
-density evaluation.  The a-dependent Garsia-style integrals
+Seminorms are grid estimates with refinement diagnostics, never exact norms.
+The Bloch seminorm is a sup over point samples, so a lower bound, to depth
+J = 20.  The BMOA seminorm reduces box averages over the dyadic arc family,
+computed on a master polar grid with per-ring angular prefix sums, so the
+whole family costs one density evaluation; it stops at J = 12, the depth the
+grid's 2^(J+4) angles resolve.  The a-dependent Garsia-style integrals
 
     int g(z) (1 - |phi_a(z)|^2) dm(z),
     1 - |phi_a(z)|^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2,
@@ -136,7 +138,7 @@ def weight_regularity(w: Weight) -> float:
 class SeminormReport:
     space: str                # "bloch" | "bmoa"
     weight: Weight
-    value: float              # certified grid lower bound
+    value: float              # grid estimate (bloch: a lower bound)
     resolution: int
     history: list             # (resolution or j, value), nondecreasing
     scale_series: list = field(default_factory=list)  # (j, sup over centers)
@@ -219,8 +221,14 @@ def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
 N_GL = 4          # Gauss-Legendre nodes per dyadic annulus
 TAIL_DEPTH = 8    # annuli of the master grid beyond the finest arc octave
 VANISHING_J = 12  # finest arc octave 2^-J of bmoa_vanishing
-MAX_J = 20        # deepest accepted J: the finest octave has 2^(J+2) arcs
+MAX_J = 20        # deepest accepted J; Bloch runs at resolution J + 4
+MAX_BMOA_J = 12   # deepest BMOA J: its master grid has 2^(J+4) angles
 FRACS = (1.0, 0.75)  # arc lengths per octave, as fractions of 2^-j
+
+
+def _check_depth(J, top):
+    if not 0 <= J <= top:
+        raise ValueError("depth J must be in [0, %d], got %r" % (top, J))
 
 
 def _master_grid(J):
@@ -229,8 +237,9 @@ def _master_grid(J):
     Returns (r nodes, ring weights with the 2 r dr factor, n_theta).  The
     integral of a density against dm is sum_i wr_i * mean_over_theta(row_i).
     """
-    n_theta = 1 << (min(J, 12) + 4)
-    k_cap = min(max(J + TAIL_DEPTH, 16), 38)
+    _check_depth(J, MAX_BMOA_J)
+    n_theta = 1 << (J + 4)
+    k_cap = max(J + TAIL_DEPTH, 16)
     r, wr = _radial_nodes(2.0 ** -k_cap, N_GL)
     return r, wr * 2.0 * r, n_theta
 
@@ -246,15 +255,14 @@ def _octave_sups(f, w, J):
     rings, forms z for its rows and evaluates f' there, so a flow density
     (Sarason's) is one ODE system per ring block.
 
-    Center i of n_c sits at cell i n_theta / n_c, an exact dyadic number:
-    with g = max(1, n_c / n_theta), center g m + p sits at cell stride m +
-    p / g.  So each window end is stride m + a + f with a whole a and f in
-    [0, 1) fixed per (ring, p), and per (ring, center) only integer indices
-    and the gathers remain.  Each member's window sums over its rings, in
-    ring order, run on the pool in ranges of centers, one max per task: for
-    a pointwise density the bits do not depend on the ranges or the workers.
-    A max that is not finite (|f'|^2 or a prefix sum overflowed) raises
-    QuadFailure.
+    The grid has 2^(J+4) angles, at least four cells per center, so center
+    i of n_c sits on cell i n_theta / n_c and each window end is that cell
+    plus a whole a and a fraction in [0, 1), both fixed per ring: per
+    (ring, center) only integer indices and the gathers remain.  Each
+    member's window sums over its rings, in ring order, run on the pool in
+    ranges of centers, one max per task: for a pointwise density the bits
+    do not depend on the ranges or the workers.  A max that is not finite
+    (|f'|^2 or a prefix sum overflowed) raises QuadFailure.
     """
     _, fp = FunctionHandle.of(f)
     r, wr, n_theta = _master_grid(J)
@@ -278,50 +286,45 @@ def _octave_sups(f, w, J):
     flat = cells.view(complex).reshape(-1)     # pref + 1j vals, flat
     shift, dtheta = n_theta.bit_length() - 1, 2.0 * math.pi / n_theta
 
-    def window_max(member, span):
-        """Max over the centers in span of the rings' weighted sums of
-        cum(hi) - cum(lo), cum = turns total + pref + frac vals."""
-        row, a_lo, a_hi, f_lo, f_hi, total, weight, g, stride = member
-        n = len(span)
-        cell = np.arange(span.start, span.stop) // g * stride
-        lo, hi = a_lo[:, :n] + cell, a_hi[:, :n] + cell   # (rings, centers)
-        with np.errstate(all="ignore"):
-            s = total * ((hi >> shift) - (lo >> shift))
-            lo &= n_theta - 1
-            hi &= n_theta - 1
-            lo += row
-            hi += row
-            at_lo, at_hi = flat.take(lo), flat.take(hi)
-            # in place: the gathered vals become frac vals, lo's plus pref
-            at_hi.imag *= f_hi[:, :n]
-            s += at_hi.real
-            s += at_hi.imag
-            at_lo.imag *= f_lo[:, :n]
-            at_lo.imag += at_lo.real
-            s -= at_lo.imag
-            s *= weight
-            return np.max(np.sum(s, axis=0))
-
     sups = [0.0] * (J + 1)
     for j, frac in itertools.product(range(J + 1), FRACS):
         length, n_c = frac * 2.0 ** (-j), 1 << (j + 2)
-        # per-ring halfwidth, nan = empty
+        # per-ring halfwidth, nan = empty; the member's (rings, 1) columns
         half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
         rows = np.nonzero(half > 0.0)[0]
-        g, stride = max(1, n_c // n_theta), max(1, n_theta // n_c)
-        # ranges of whole phase cycles; the (ring, phase) tables are tiled
-        # to a range's width, so column c holds phase c mod g
-        step = max(1, _CHUNK // max(rows.size * g, 1)) * g
-        phase, hc = np.arange(g) / g, half[rows, None] / dtheta
-        lo, hi = phase - hc, phase + hc                       # (rings, g)
-        a_lo, a_hi = np.floor(lo), np.floor(hi)
-        tiled = [np.tile(x, step // g) for x in (a_lo.astype(np.int64),
-                                                  a_hi.astype(np.int64),
-                                                  lo - a_lo, hi - a_hi)]
-        member = (rows[:, None] * (n_theta + 1), *tiled, pref[rows, -1:],
-                  wr[rows, None] / n_theta, g, stride)
+        hc = half[rows, None] / dtheta
+        a_lo, a_hi = np.floor(-hc), np.floor(hc)
+        f_lo, f_hi = -hc - a_lo, hc - a_hi
+        a_lo, a_hi = a_lo.astype(np.int64), a_hi.astype(np.int64)
+        row = rows[:, None] * (n_theta + 1)
+        total, weight = pref[rows, -1:], wr[rows, None] / n_theta
+        stride = n_theta // n_c
+
+        def window_max(span):
+            """Max over the centers in span of the rings' weighted sums of
+            cum(hi) - cum(lo), cum = turns total + pref + frac vals."""
+            cell = np.arange(span.start, span.stop) * stride
+            lo, hi = a_lo + cell, a_hi + cell           # (rings, centers)
+            with np.errstate(all="ignore"):
+                s = total * ((hi >> shift) - (lo >> shift))
+                lo &= n_theta - 1
+                hi &= n_theta - 1
+                lo += row
+                hi += row
+                at_lo, at_hi = flat.take(lo), flat.take(hi)
+                # in place: the gathered vals become frac vals, lo's plus pref
+                at_hi.imag *= f_hi
+                s += at_hi.real
+                s += at_hi.imag
+                at_lo.imag *= f_lo
+                at_lo.imag += at_lo.real
+                s -= at_lo.imag
+                s *= weight
+                return np.max(np.sum(s, axis=0))
+
+        step = max(1, _CHUNK // max(rows.size, 1))
         spans = [range(i, min(i + step, n_c)) for i in range(0, n_c, step)]
-        top = np.max(_map(partial(window_max, member), spans))
+        top = np.max(_map(window_max, spans))
         value = w.arc_factor(length) * float(top) / length
         if not math.isfinite(value):
             raise quad.QuadFailure("box average overflowed at j = %d" % j)
@@ -333,9 +336,10 @@ def bmoa_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
     """Sqrt of the sup over the dyadic arc family of weighted box averages.
 
     The per-octave sups (floored at 0) are the scale series; the history is
-    the running seminorm after each octave."""
-    if not 0 <= J <= MAX_J:
-        raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
+    the running seminorm after each octave.  J is at most MAX_BMOA_J: the
+    master grid's 2^(J+4) angles resolve the finest arcs only that far, and
+    beyond it the rectangle rule on the peaked |f'|^2 drives the sups up."""
+    _check_depth(J, MAX_BMOA_J)
     sups = _octave_sups(f, w, J)
     history = [(j, math.sqrt(s))
                for j, s in enumerate(itertools.accumulate(sups, max))]
@@ -361,8 +365,7 @@ def bmoa_vanishing(f, w=Weight.unit()) -> LimitVerdict:
 def seminorm(f, space, w=Weight.unit(), J=8) -> SeminormReport:
     """The space's seminorm at depth J: bmoa_seminorm at J, or
     bloch_seminorm at resolution J + 4."""
-    if not 0 <= J <= MAX_J:
-        raise ValueError("depth J must be in [0, %d], got %r" % (MAX_J, J))
+    _check_depth(J, MAX_J)
     if space == "bmoa":
         return bmoa_seminorm(f, w, J=J)
     if space == "bloch":

@@ -101,7 +101,6 @@ def continuity_probe(gen, f, times, space="bmoa") -> ContinuityProbe:
         raise ValueError("times must be 1 to 8 strictly decreasing values "
                          "in (0, 1]")
     f = FunctionHandle.of(f)
-    gen.dG          # G' is built here, so the flows do not race to build it
 
     def value(t):
         ct = compose_apply(gen, t, f)

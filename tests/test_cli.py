@@ -288,6 +288,26 @@ def test_depth_error_names_the_depth_J(capsys, monkeypatch, space, J):
         "depth J must be in [0, 20], got %s" % J
 
 
+@pytest.mark.parametrize("J", ["13", "20"])
+def test_bmoa_depth_above_its_grid_exits_3(capsys, monkeypatch, J):
+    # above J = 12 the master grid no longer resolves the finest arcs: BMOA
+    # refuses before any grid work, while Bloch runs to J = 20
+    monkeypatch.setattr(cli.spaces, "_octave_sups", _must_not_run)
+    code, doc = run_json(capsys, "norm", "--function", "z", "--space", "bmoa",
+                         "--J", J)
+    assert code == cli.EXIT_DOMAIN
+    assert doc["error"]["exit_code"] == 3
+    assert doc["error"]["message"] == \
+        "depth J must be in [0, 12], got %s" % J
+
+
+def test_bloch_depth_20_runs(capsys):
+    code, doc = run_json(capsys, "norm", "--function", "z", "--space", "bloch",
+                         "--J", "20")
+    assert code == cli.EXIT_OK
+    assert doc["resolution"] == 24 and float(doc["value"]) == 1.0
+
+
 def _child_norm(source):
     """norm --function source in a fresh interpreter, warnings on stderr."""
     env = {k: v for k, v in os.environ.items()

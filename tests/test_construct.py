@@ -394,8 +394,9 @@ def test_kernels_keep_the_bits_of_the_wrapper_forms(bits):
                  _reference_box_halfwidth(gap, length)),
                 (state.re_F(theta, gap), re),
                 (state.abs_F_sq(theta, gap), re * re + im * im),
-                (construct._mp_ring(LINEAR_SYMBOL.base_density, half, gap,
-                                    weight, xv, wv),
+                (construct._ring_sum(LINEAR_SYMBOL.base_density,
+                                     construct._ring_nodes(half, gap, weight,
+                                                           xv, wv)),
                  _reference_ring(LINEAR_SYMBOL.base_density, half, gap,
                                  weight, xv, wv)),
             ]

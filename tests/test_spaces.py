@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -192,9 +191,9 @@ def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
     """Reference for spaces._octave_sups (unit weight): the same windows,
     with ring contributions added one ring at a time, every member's
     averages folded into its octave's sup.  Center i of n_c sits at cell
-    i n_theta / n_c = cell + phase exactly; a window end phase -+ h/dtheta
-    is split into a whole and a fraction, and the whole, added to cell, into
-    turns of the ring and a cell index."""
+    i n_theta / n_c exactly; a window end -+ h/dtheta from it is split into
+    a whole and a fraction, and the whole, added to cell, into turns of the
+    ring and a cell index."""
     r, wr, n_theta, vals, pref = _master_cells(fp, J)
     dtheta = 2.0 * math.pi / n_theta
     sups = [0.0] * (J + 1)
@@ -204,8 +203,7 @@ def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
             if length > 1.0:
                 continue
             n_c = 1 << (j + 2)
-            cell, phase = np.divmod(np.arange(n_c) * n_theta, n_c)
-            phase = phase / n_c
+            cell = np.arange(n_c) * (n_theta // n_c)
             half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
             acc = np.zeros(n_c)
             for i in range(r.size):
@@ -213,7 +211,7 @@ def _octave_sups_per_ring(fp, J, fracs=(1.0, 0.75)):
                 if math.isnan(h) or h <= 0.0:
                     continue
                 ends = []
-                for x in (phase - h / dtheta, phase + h / dtheta):
+                for x in (-h / dtheta, h / dtheta):
                     whole = np.floor(x)
                     turns, k = np.divmod(cell + whole.astype(int), n_theta)
                     ends.append((turns, pref[i, k], (x - whole) * vals[i, k]))
@@ -283,28 +281,8 @@ def _exact_window_sum(cells, n_c, half, center):
         return total
 
 
-def _coarse_angles(monkeypatch):
-    """A master grid of 64 angles: from j = 5 on, a member has n_c / 64 =
-    2, 4, 8 centers per cell, as the members above j = 14 of J > 14 have on
-    the full grid."""
-    grid = spaces._master_grid
-    monkeypatch.setattr(spaces, "_master_grid", lambda J: grid(J)[:2] + (64,))
-
-
-def test_box_family_with_several_centers_per_cell_equals_per_ring_loop(
-        monkeypatch):
-    _coarse_angles(monkeypatch)
-    for src in (F_LOG, F_LOGHALF):
-        f = FunctionHandle.from_source(src)
-        got = spaces._octave_sups(f, Weight.unit(), 7)
-        ref = _octave_sups_per_ring(f.der, 7)
-        assert [x.hex() for x in got] == [x.hex() for x in ref], src
-
-
-@pytest.mark.parametrize("coarse", [False, True])
 @pytest.mark.parametrize("src", [F_LOG, F_LOGHALF, "z^3 + 2*z"])
-def test_lattice_window_ends_are_at_least_as_accurate_as_float_ends(
-        src, coarse, monkeypatch):
+def test_lattice_window_ends_are_at_least_as_accurate_as_float_ends(src):
     # Each octave's lattice sup is within 1e-13 of the 200-bit sup over the
     # same float cells, and its worst octave is no further from it than the
     # float-end formula's worst, or within 4 rounding units: at that floor
@@ -312,12 +290,9 @@ def test_lattice_window_ends_are_at_least_as_accurate_as_float_ends(
     # pref + frac vals, decides, and either may land nearer.  The exact max
     # is over the centers whose float sum is within 1e-9 of the member's
     # max, which holds it while the float sums are within 5e-10 of their
-    # exact values.  The 64-angle grid runs J = 6, 7, whose deepest members
-    # have 2 to 8 centers per cell.
-    if coarse:
-        _coarse_angles(monkeypatch)
+    # exact values.
     f = FunctionHandle.from_source(src)
-    for J in (6, 7) if coarse else (3, 6):
+    for J in (3, 6):
         cells = _master_cells(f.der, J)
         lattice = spaces._octave_sups(f, Weight.unit(), J)
         parent, exact = [0.0] * (J + 1), [0.0] * (J + 1)
@@ -345,32 +320,6 @@ def test_box_family_single_worker_pool_gives_the_same_bytes(monkeypatch):
         monkeypatch.setattr(expr, "_POOL", pool)
         single = spaces._octave_sups(f, Weight.log(), 12)
     assert [x.hex() for x in single] == [x.hex() for x in default]
-
-
-def test_octave_sups_windows_pass_holds_no_member_array(monkeypatch):
-    # once the ring-block map has filled the master grid, the windows pass
-    # allocates per-task blocks only, never an array as long as a member's
-    # 2^18 centers (2 MiB each); one worker keeps the peak off the core count
-    real_map, grid = spaces._map, []
-
-    def map_then_reset(fn, items):
-        out = real_map(fn, items)
-        if not grid:
-            tracemalloc.reset_peak()
-            grid.append(tracemalloc.get_traced_memory()[0])
-        return out
-
-    f = FunctionHandle.from_source(F_LOG)
-    with ThreadPoolExecutor(1, initializer=expr._mark_worker) as pool:
-        monkeypatch.setattr(expr, "_POOL", pool)
-        monkeypatch.setattr(spaces, "_map", map_then_reset)
-        tracemalloc.start()
-        try:
-            spaces._octave_sups(f, Weight.unit(), 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak - grid[0] < 5e6
 
 
 def test_box_family_block_exception_reaches_the_caller():

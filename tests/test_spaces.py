@@ -145,6 +145,31 @@ def test_seminorm_dispatch_shares_the_depth_rule():
         seminorm(f, "bmo")
 
 
+@pytest.mark.parametrize("J", [0, 12])
+def test_master_grid_puts_four_cells_between_the_finest_centers(J):
+    # 2^(J+4) angles at every accepted depth: the finest octave's 2^(J+2)
+    # centers sit four whole cells apart, so no member has a phase lattice
+    n_theta = spaces._master_grid(J)[2]
+    assert n_theta == 1 << (J + 4)
+    assert n_theta % (1 << (J + 2)) == 0 and n_theta >> (J + 2) == 4
+
+
+@pytest.mark.parametrize("J", [13, 20])
+def test_bmoa_rejects_depths_its_grid_does_not_resolve(J, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("grid work before the depth check")
+
+    monkeypatch.setattr(spaces, "_octave_sups", must_not_run)
+    monkeypatch.setattr(spaces, "_radial_nodes", must_not_run)
+    f = FunctionHandle.from_source(F_LOG)
+    message = r"depth J must be in \[0, 12\], got %d$" % J
+    for call in (lambda: seminorm(f, "bmoa", J=J),
+                 lambda: bmoa_seminorm(f, J=J),
+                 lambda: spaces._master_grid(J)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_bmoa_seminorm_full_circle_oracle(monkeypatch):
     # average of |f'|^2 (1-|z|^2) over the whole disc for f = z is 1/2; with
     # the full circle (j = 0 at frac 1.0) the only member, it is sups[0]

@@ -11,7 +11,7 @@ grid's 2^(J+4) angles resolve.  The a-dependent Garsia-style integrals
     1 - |phi_a(z)|^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2,
 
 sample g once on a polar grid clustered at the hot angles, where g or the
-kernel peaks; each query a applies the kernel to them (GarsiaIntegrator).
+kernel peaks; each query applies the kernel in polar form (GarsiaIntegrator).
 """
 
 from __future__ import annotations
@@ -394,12 +394,14 @@ def _adaptive_angles(hot_angles):
 class GarsiaIntegrator:
     """Evaluates a -> int sq_density(z) (1 - |phi_a(z)|^2) dm(z).
 
-    The density is sampled once on a polar grid with dyadic radial annuli and
-    an angular mesh clustered around the given hot angles (where the density
-    or the kernel (1-|a|^2)(1-|z|^2)/|1 - conj(a) z|^2 peaks); each query a
-    then costs one kernel dot-product, made without BLAS so its bits do not
-    depend on the BLAS thread count.  The kernel spike at angle arg(a) is
-    only resolved if arg(a) was passed as a hot angle.
+    The density is sampled once on a polar grid z = rho e^{i theta}: dyadic
+    radial annuli times an angular mesh clustered around the hot angles
+    (where the density or the kernel peaks; the spike at arg(a) is resolved
+    only if arg(a) is one).  A query a = r e^{i alpha} takes the kernel in
+    polar form, |1 - conj(a) z|^2 = (1 - r rho)^2 + 4 r rho sin^2((theta -
+    alpha)/2), with 1 - r rho and 1 - r^2 formed from the gaps 1 - r and
+    1 - rho, so no digit cancels.  Each angle is summed alone, on the pool
+    and without BLAS, so its bits depend on no other angle or thread count.
     """
 
     def __init__(self, sq_density, hot_angles):
@@ -410,32 +412,31 @@ class GarsiaIntegrator:
         wt = 0.5 * (gaps + np.roll(gaps, 1))
         r, wr = _radial_nodes(quad.CONFIG.eps_min, N_GL)
         oms = (1.0 - r) * (1.0 + r)
-        z = r[:, None] * np.exp(1j * t[None, :])
-        g = np.asarray(sq_density(z), dtype=float)
+        g = np.asarray(sq_density(r[:, None] * np.exp(1j * t[None, :])), float)
         g = np.where(np.isfinite(g), g, 0.0)
         # everything except the a-kernel, including (1-|z|^2) and dm weights
-        self._base = (g * (oms * r * wr)[:, None] * wt[None, :] / math.pi).ravel()
-        self._z = z.ravel()
+        self._base = g * (oms * r * wr)[:, None] * wt[None, :] / math.pi
+        self._rho, self._om_rho, self._theta = r, 1.0 - r, t
+        self._sin_sq = {}           # alpha -> sin^2((theta - alpha)/2)
 
-    def __call__(self, a_values):
-        # per 2^14-point chunk, d = 1 - conj(a) z and the kernel's einsum
-        # with the base; the chunk sums are added in order
-        a = np.atleast_1d(np.asarray(a_values, dtype=complex))
-        out = np.empty(a.size)
-        d, q, im = (np.empty(_CHUNK, dtype=complex), np.empty(_CHUNK),
-                    np.empty(_CHUNK))
-        for i, ai in enumerate(a):
-            scale, total = 1.0 - abs(ai) ** 2, 0.0
-            for k in range(0, self._z.size, _CHUNK):
-                zk = self._z[k:k + _CHUNK]
-                dk = np.multiply(ai.conjugate(), zk, out=d[:zk.size])
-                np.subtract(1.0, dk, out=dk)
-                qk = np.square(dk.real, out=q[:zk.size])
-                qk += np.square(dk.imag, out=im[:zk.size])
-                np.divide(scale, qk, out=qk)
-                total += float(np.einsum("i,i->", self._base[k:k + _CHUNK], qk))
-            out[i] = total
-        return out
+    def _half_sin_sq(self, alpha):
+        if alpha not in self._sin_sq:
+            self._sin_sq[alpha] = np.sin(0.5 * (self._theta - alpha)) ** 2
+        return self._sin_sq[alpha]
+
+    def __call__(self, r, angles):
+        """The integral at a = r e^{i alpha} for each alpha in angles."""
+        r = float(r)
+        om = 1.0 - r
+        gap = om + self._om_rho - om * self._om_rho      # 1 - r rho per ring
+        c, s = (gap * gap)[:, None], (4.0 * r * self._rho)[:, None]
+        rows = [self._half_sin_sq(float(a) % (2.0 * math.pi)) for a in angles]
+        return om * (1.0 + r) * np.array(_map(partial(self._sum, c, s), rows))
+
+    def _sum(self, c, s, half_sin_sq):
+        d = np.multiply(s, half_sin_sq)
+        d += c                                            # |1 - conj(a) z|^2
+        return float(np.divide(self._base, d, out=d).sum())
 
 
 def _density_hot_angles(sq_density):
@@ -454,11 +455,10 @@ def _garsia_sweep(fp, factor, n_angles):
     """Classify factor(1 - r^2) max_{|a| = r} int |f'|^2 (1 - |phi_a|^2) dm
     along the dyadic radial schedule, a on n_angles equispaced angles."""
     thetas = np.arange(n_angles) * (2.0 * math.pi / n_angles)
-    eit = np.exp(1j * thetas)
     sq = lambda z: np.abs(fp(z)) ** 2
     integ = GarsiaIntegrator(sq, list(thetas) + _density_hot_angles(sq))
     return radial_limit(lambda r: factor((1.0 - r) * (1.0 + r))
-                        * float(np.max(integ(r * eit))))
+                        * float(np.max(integ(r, thetas))))
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ def _box_gap_max(length):
 def _box_halfwidth(gap, length):
     """Angular halfwidth of the box section at gap; None if empty.
 
-    cos(dtheta) >= (1+r^2) cos(pi l)/(2r); stable form via
-    1 - x = 2 sin^2(h/2) (1+q) - q with q = gap^2/(2(1-gap)).  A libmp
+    cos(dtheta) >= x = (1+r^2) cos(pi l)/(2r); GeodesicBox's gap form
+    1 - x = 2 s^2 (1 + q) - q, s = sin(h/2), q = gap^2/(2(1-gap)).  A libmp
     kernel, one call per wrapper operation and so the same bits, of
     h = mp.pi * length, q = gap * gap / (2 * (1 - gap)),
     one_minus_x = 2 * mp.sin(h / 2) ** 2 * (1 + q) - q and the halfwidth
@@ -644,7 +644,7 @@ def _box_nodes(lell):
     lgmax = _LOG2 + ls - lcs
     lg = lgmax + np.log(_Y)
     l1mg = _log1m(lg)
-    # _box_halfwidth: 1 - x = 2 s^2 u with u = 1 + q - y^2/((c+s)^2 (1-gap))
+    # 1 - x = 2 s^2 (1 + q) - q = 2 s^2 u, u = 1 + q - y^2/((c+s)^2 (1-gap))
     u = (1 + np.exp(2 * lg - _LOG2 - l1mg)
          - np.exp(2 * np.log(_Y) - 2 * lcs - l1mg))
     keep = u > 0

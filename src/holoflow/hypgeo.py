@@ -5,7 +5,11 @@ and the geodesic Carleson boxes bounded by the geodesic over an arc.  Points
 near the boundary carry an explicit gap field eps = 1 - |z| so that 1 - |z|^2
 can always be formed without cancellation as eps * (2 - eps).
 
-Arc lengths are normalized to fractions of the full circle.
+Arc lengths are normalized to fractions of the full circle.  A box over an
+arc of length l has at radius r > 0 the section cos(dtheta) >= x =
+(1 + r^2) cos(pi l)/(2r), of half-width 2 asin(sqrt((1 - x)/2)) from the
+cancellation-free 1 - x = 2 s^2 (1 + q) - q, s = sin(pi l/2) and
+q = gap^2/(2r); the origin lies in the box iff l >= 1/2.
 """
 
 from __future__ import annotations
@@ -152,12 +156,13 @@ class GeodesicBox:
     """Carleson box S(I): closed hyperbolic half-plane bounded by the geodesic
     over the arc I.
 
-    Its section at radius r is the set of angles within
-    angular_halfwidth(r) of the arc centre.  For length < 1/2 the bounding
-    geodesic is the circle of center e^{i theta_c}/cos(pi l) and radius
-    tan(pi l), orthogonal to the unit circle; for length 1/2 it is a
-    diameter.  A longer box is the complement of the opposite box, so its
-    half-width is pi minus the opposite one.
+    Its section at radius r > 0 is the set of angles within
+    angular_halfwidth(r) of the arc centre, cos(dtheta) >= x =
+    (1 + r^2) cos(pi l)/(2r), at every length l in (0, 1].  With
+    gap = 1 - r, q = gap^2/(2r) and s = sin(pi l/2), the half-width is
+    2 asin(sqrt((1 - x)/2)) from 1 - x = 2 s^2 (1 + q) - q, the gap form
+    construct evaluates in mpmath and in logs.  The origin lies in S(I)
+    iff l >= 1/2.
     """
 
     arc: Arc
@@ -167,32 +172,23 @@ class GeodesicBox:
                                1.0 - self.arc.length))
 
     def angular_halfwidth(self, r):
-        """Half-width in angle of the box section at radius r (nan if empty).
-
-        Derived from |z - c| <= rho with c^2 - rho^2 = 1:
-        cos(dtheta) >= (1 + r^2) cos(pi l) / (2 r).
-        """
+        """Half-width in angle of the box section at radius r: pi where
+        1 - x >= 2, nan where 1 - x <= 0 (an empty section) and at r = 0."""
         r = np.asarray(r, dtype=float)
-        l = self.arc.length
-        if l == 1.0:
-            return np.full_like(r, math.pi)
-        if l == 0.5:
-            return np.full_like(r, math.pi / 2.0)
-        if l > 0.5:
-            opp = GeodesicBox(Arc(self.arc.theta_c, 1.0 - l)).angular_halfwidth(r)
-            out = math.pi - opp
-            return np.where(np.isnan(opp), math.pi, out)
+        s = math.sin(self.arc.half_angle / 2.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            x = (1.0 + r * r) * math.cos(self.arc.half_angle) / (2.0 * r)
-            return np.where(x > 1.0, np.nan, np.arccos(np.minimum(x, 1.0)))
+            q = (1.0 - r) ** 2 / (2.0 * r)
+            one_minus_x = 2.0 * s * s * (1.0 + q) - q
+            return np.where(one_minus_x <= 0.0, np.nan, 2.0 * np.arcsin(
+                np.sqrt(np.minimum(one_minus_x, 2.0) / 2.0)))
 
     @property
     def closest_radius(self) -> float:
-        """Radius of the point of the box closest to the origin."""
-        if self.arc.length >= 0.5:
-            return 0.0
-        half = self.arc.half_angle
-        return (1.0 - math.sin(half)) / math.cos(half)
+        """Radius (c - s)/(c + s), floored at 0, of the box's point closest
+        to the origin, s, c = sin, cos(pi l/2); its gap is 2 s/(c + s)."""
+        h = self.arc.half_angle / 2.0
+        s, c = math.sin(h), math.cos(h)
+        return max((c - s) / (c + s), 0.0)
 
 
 def box_of(arc_or_point) -> GeodesicBox:
@@ -204,7 +200,9 @@ def box_contains(box: GeodesicBox, z):
     """Closed membership in the geodesic Carleson box, elementwise in z: a
     point lies in S(I) iff its angular distance to the arc centre is at most
     the box's half-width at its radius (nan, so never, where the section is
-    empty)."""
+    empty); the origin lies in S(I) iff the arc length is at least 1/2."""
     z = np.asarray(z, dtype=complex)
     dist = np.abs(np.angle(z * cmath.exp(-1j * box.arc.theta_c)))
-    return dist <= box.angular_halfwidth(np.abs(z))
+    r = np.abs(z)
+    at_origin = (r == 0.0) & (box.arc.length >= 0.5)
+    return at_origin | (dist <= box.angular_halfwidth(r))

@@ -210,7 +210,7 @@ def box_integral(box, density):
     l = box.arc.length
     if l == 1.0:
         return disc_integral(density)[0]
-    if l >= 0.5:
+    if l > 0.5:     # a long box's section kinks at pi: direct panels stall
         whole = disc_integral(density)[0]
         return whole - box_integral(box.opposite(), density)
     return _refine(lambda depth: _box_value(box, density, depth),

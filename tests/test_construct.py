@@ -634,7 +634,7 @@ def test_gaps_collapse_doubly_exponentially(bmoa_states):
 # sha256 of ConstructionState.to_json() at 256 bits, recorded from the
 # all-mp searches; the float-deciding searches must reproduce them
 GOLDEN_STATE_SHA256 = {
-    "bmoa_1": "1b7af49eb50e91e23c6d125362aaf49cfb43b2627eddf376c8a9053df7dac795",
+    "bmoa_1": "e8e13158355eaff43f48ec17d05ff3dc25002173ca9ed419377242dcac85d464",
     "bloch_4": "91ce41a1e19575b93d2d3ce12ee59c451262e3df1ffd5ec56304f590632ef7e6",
 }
 

@@ -3,14 +3,16 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow.hypgeo import (Arc, DiscPoint, MobiusMap, arc_of, box_contains,
-                             box_of, hyp_dist, midpoint_from_origin,
-                             one_minus_abs_sq, phi)
+from holoflow import construct, spaces
+from holoflow.hypgeo import (Arc, DiscPoint, GeodesicBox, MobiusMap, arc_of,
+                             box_contains, box_of, hyp_dist,
+                             midpoint_from_origin, one_minus_abs_sq, phi)
 
 disc_pts = st.complex_numbers(max_magnitude=0.95, allow_infinity=False,
                               allow_nan=False)
@@ -124,6 +126,50 @@ def test_half_circle_and_full_circle_boxes():
     assert box_of(Arc(0.0, 0.5)).angular_halfwidth(0.9) <= math.pi / 2 + 1e-9
     assert box_of(Arc(0.0, 1.0)).angular_halfwidth(0.5) == pytest.approx(
         math.pi)
+
+
+def test_origin_lies_in_the_boxes_of_arcs_of_at_least_half_the_circle():
+    for theta in (0.0, 2.5):
+        for length in (0.25, 0.5, 0.75, 1.0):
+            inside = bool(box_contains(box_of(Arc(theta, length)), 0.0))
+            assert inside == (length >= 0.5), (theta, length)
+
+
+def test_halfwidth_matches_a_200_bit_arccos_on_the_master_grid():
+    # every octave arc of the BMOA box family, at the J = 12 radii: the
+    # half-width is within 1e-14 relative of arccos(x) at the same float
+    # (r, l), and empty exactly where x > 1
+    r = spaces._master_grid(12)[0]
+    for j in range(13):
+        for frac in spaces.FRACS:
+            length = frac * 2.0 ** (-j)
+            half = GeodesicBox(Arc(0.0, length)).angular_halfwidth(r)
+            with mp.workprec(200):
+                cos_l = mp.cos(mp.pi * length)
+                xs = [(1 + mp.mpf(x) ** 2) * cos_l / (2 * mp.mpf(x))
+                      for x in r]
+                want = [None if x > 1 else mp.pi if x <= -1 else mp.acos(x)
+                        for x in xs]
+            for got, ref in zip(half, want):
+                assert math.isnan(got) == (ref is None), (j, frac)
+                if ref is not None:
+                    assert abs(got - ref) <= 1e-14 * ref, (j, frac, got)
+
+
+def test_float_halfwidth_is_the_mp_kernel_rounded():
+    # the float and mpmath sections are one formula: where the section is
+    # at least half the arc's width, they agree to a few ulps at dyadic gaps
+    for length in (2.0 ** -12, 2.0 ** -6, 0.25, 0.5, 0.75, 1.0):
+        box = GeodesicBox(Arc(0.0, length))
+        for k in range(1, 53):
+            gap = 2.0 ** (-k)
+            with mp.workprec(256):
+                want = construct._box_halfwidth(mp.mpf(gap), mp.mpf(length))
+            if want is None or want < mp.pi * length / 2:
+                continue
+            got = float(box.angular_halfwidth(1.0 - gap))
+            assert abs(got - float(want)) <= 4 * np.spacing(float(want)), \
+                (length, k)
 
 
 def test_complement_representation_for_long_arcs():

@@ -42,6 +42,14 @@ def test_full_circle_box_equals_disc():
     assert box_integral(box, dens) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_half_circle_box_is_integrated_directly():
+    # a half box is its own opposite, so it has no complement to go through
+    dens = lambda z: 1.0 - np.abs(z) ** 2
+    for theta in (0.0, 2.0):
+        assert box_integral(box_of(Arc(theta, 0.5)), dens) == pytest.approx(
+            0.25, abs=1e-9)
+
+
 def test_box_plus_complement_additivity():
     # quarter-circle box + the opposite 3/4 box = whole disc, 2x tolerance
     dens = lambda z: 1.0 - np.abs(z) ** 2

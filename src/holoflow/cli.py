@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -362,22 +363,30 @@ def _fold_values(argv):
 def main(argv=None) -> int:
     argv = _fold_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser().parse_args(argv)
-        quad.default_bits()             # reject a bad precision before work
-        if args.csv:                    # and a CSV path that cannot be written
-            open(args.csv, "a").close()
-        return args.fn(args)
-    except ParseDiagnostic as exc:
-        return _error_doc(EXIT_PARSE, exc)
-    except (AdmissibilityError, ClassificationError, EvalDomainError,
-            ValueError, RecursionError, OSError) as exc:
-        # RecursionError: a tree nested deeper than its recursive parse,
-        # derivative and evaluation reach; OSError: an unwritable --csv path
-        return _error_doc(EXIT_DOMAIN, exc)
-    except (QuadFailure, FlowBlowupError, ArithmeticError) as exc:
-        return _error_doc(EXIT_NUMERIC, exc)
-    except AssertionError as exc:   # construct.BlockPropertyError is one
-        return _error_doc(EXIT_INTERNAL, exc)
+        try:
+            args = build_parser().parse_args(argv)
+            quad.default_bits()         # reject a bad precision before work
+            if args.csv:                # and a CSV path that cannot be written
+                open(args.csv, "a").close()
+            return args.fn(args)
+        except ParseDiagnostic as exc:
+            return _error_doc(EXIT_PARSE, exc)
+        except (AdmissibilityError, ClassificationError, EvalDomainError,
+                ValueError, RecursionError, OSError) as exc:
+            # RecursionError: a tree nested deeper than its recursive parse,
+            # derivative and evaluation reach; OSError: an unwritable CSV path
+            return _error_doc(EXIT_DOMAIN, exc)
+        except (QuadFailure, FlowBlowupError, ArithmeticError) as exc:
+            return _error_doc(EXIT_NUMERIC, exc)
+        except AssertionError as exc:   # construct.BlockPropertyError is one
+            return _error_doc(EXIT_INTERNAL, exc)
+        finally:
+            sys.stdout.flush()          # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone: write nothing more, and point fd 1 at
+        # os.devnull so the interpreter's final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

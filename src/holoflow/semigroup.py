@@ -104,8 +104,8 @@ def berkson_porta(tau, p) -> Generator:
 # ---------------------------------------------------------------------------
 
 def _modulus(v):
-    """|v| as CPython's abs() gives it (hypot), inf where v is not finite."""
-    return np.where(np.isfinite(v), np.hypot(v.real, v.imag), np.inf)
+    """|v|, inf where v is not finite."""
+    return np.where(np.isfinite(v), np.abs(v), np.inf)
 
 
 def _newton_zeros(gen, seeds):
@@ -114,8 +114,8 @@ def _newton_zeros(gen, seeds):
     halved up to 30 times until |G| drops; stop at |G| < 1e-14, when no lam
     helps, or with None at a non-finite G, G' or a zero G'.  A step evaluates
     G and G' once over the active seeds, a halving G once over the pending
-    ones.  G/G' (CPython's Smith division, no reciprocal), lam * step and |.|
-    follow CPython's complex arithmetic: the bits of a one-seed scalar loop.
+    ones.  The arithmetic is numpy's elementwise complex arithmetic, so a
+    batch gives each seed the bits it gets when run alone.
     """
     z = np.array(seeds, dtype=complex)
     fz = _modulus(_expr.evaluate_array(gen.G, z))
@@ -128,21 +128,14 @@ def _newton_zeros(gen, seeds):
         bad = ~(np.isfinite(g) & np.isfinite(dg)) | (dg == 0)
         ok[live[bad]] = False
         live, g, dg = live[~bad], g[~bad], dg[~bad]
-        ar, ai, br, bi = g.real, g.imag, dg.real, dg.imag
         with np.errstate(all="ignore"):
-            by_re = np.abs(br) >= np.abs(bi)
-            ratio = np.where(by_re, bi / br, br / bi)
-            denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-            s_re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-            s_im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+            step = g / dg
         lam, stuck = 1.0, np.ones(live.size, dtype=bool)
         for _ in range(30):
             k = np.flatnonzero(stuck)
             if k.size == 0:
                 break
-            zk, cand = z[live[k]], np.empty(k.size, dtype=complex)
-            cand.real = zk.real - (lam * s_re[k] - 0.0 * s_im[k])
-            cand.imag = zk.imag - (lam * s_im[k] + 0.0 * s_re[k])
+            cand = z[live[k]] - lam * step[k]
             fc = _modulus(_expr.evaluate_array(gen.G, cand))
             down = fc < fz[live[k]]
             z[live[k[down]]], fz[live[k[down]]] = cand[down], fc[down]
@@ -158,22 +151,18 @@ def _boundary_lambda(gen, tau):
 
     Samples f(r) = Re(conj(tau) G(r tau)) / (1 - r) along the dyadic radius
     schedule, with one evaluation of G, skipping radii where G or f is not
-    finite, and Richardson-extrapolates the last pair.  r tau and the real
-    part follow CPython's complex arithmetic: the bits of a scalar loop.
+    finite, and Richardson-extrapolates the last pair.  In numpy's complex
+    arithmetic each radius gets the bits it gets when sampled alone.
     """
     r = np.array([r for _, r in radial_schedule()])
-    z = np.empty(r.size, dtype=complex)
-    z.real = r * tau.real - 0.0 * tau.imag
-    z.imag = r * tau.imag + 0.0 * tau.real
-    g = _expr.evaluate_array(gen.G, z)
+    g = _expr.evaluate_array(gen.G, r * tau)
     with np.errstate(all="ignore"):
-        v = (tau.real * g.real - (-tau.imag) * g.imag) / (1.0 - r)
+        v = (tau.conjugate() * g).real / (1.0 - r)
     keep = np.isfinite(g) & np.isfinite(v)
     samples = [(float(rk), float(vk)) for rk, vk in zip(r[keep], v[keep])]
     if len(samples) < 4:
         raise ClassificationError("boundary spectral-value analysis failed")
-    mags = [(r, abs(v)) for r, v in samples]
-    verdict = classify_sequence(mags)
+    verdict = classify_sequence([(r, abs(v)) for r, v in samples])
     if verdict.tag == "vanishes":
         return 0.0, verdict
     lam = 2.0 * samples[-1][1] - samples[-2][1]
@@ -200,8 +189,9 @@ def classify(gen: Generator) -> Classification:
     zs = np.array([z for z in _newton_zeros(gen, seeds)
                    if z is not None and abs(z) < 1.0 - 1e-6], dtype=complex)
     dgz = _expr.evaluate_array(gen.dG, zs)
-    if not np.all(np.isfinite(dgz)):    # raises on the first, in seed order
-        _expr.evaluate(gen.dG, complex(zs[~np.isfinite(dgz)][0]))
+    if not np.all(np.isfinite(dgz)):    # the first, in seed order
+        raise _expr.EvalDomainError("expression not finite at %r"
+                                    % (complex(zs[~np.isfinite(dgz)][0]),))
     simple = np.flatnonzero(_modulus(dgz) > 1e-7)
     if simple.size:
         k = simple[np.argmin(_modulus(_expr.evaluate_array(gen.G, zs[simple])))]

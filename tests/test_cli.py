@@ -435,6 +435,29 @@ def test_byte_identical_reports(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_3_quietly(unbuffered):
+    # the reader of stdout is gone before the child starts: the report's
+    # write (unbuffered) or the flush (buffered) meets a broken pipe
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("HOLOFLOW_PRECISION_BITS", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from holoflow import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "classify", "--generator",
+             "-z"], env=env, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_DOMAIN
+    assert proc.stderr == ""
+
+
 def test_csv_sidecar_schema(tmp_path, capsys):
     path = tmp_path / "series.csv"
     code, _ = run(capsys, "flow", "--generator", "-z", "--z0", "0.5",

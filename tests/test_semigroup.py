@@ -133,39 +133,13 @@ def test_classification_is_cached():
     assert classify(gen) is classify(gen)
 
 
+_NEWTON_ZEROS = semigroup._newton_zeros     # unpatched, for the reference
+
+
 def _scalar_newton_zero(gen, seed):
-    """The one-seed damped Newton loop that _newton_zeros batches: the
-    reference its results must equal bit for bit."""
-    z = complex(seed)
-    try:
-        fz = abs(expr.evaluate(gen.G, z))
-    except expr.EvalDomainError:
-        fz = math.inf
-    for _ in range(60):
-        try:
-            g = expr.evaluate(gen.G, z)
-            dg = expr.evaluate(gen.dG, z)
-        except expr.EvalDomainError:
-            return None
-        if abs(dg) == 0.0:
-            return None
-        step = g / dg
-        lam = 1.0
-        for _ in range(30):
-            cand = z - lam * step
-            try:
-                fc = abs(expr.evaluate(gen.G, cand))
-            except expr.EvalDomainError:
-                fc = math.inf
-            if fc < fz:
-                z, fz = cand, fc
-                break
-            lam *= 0.5
-        else:
-            break
-        if fz < 1e-14:
-            return z
-    return z if fz < 1e-10 else None
+    """The seed run alone through _newton_zeros: the reference a batch must
+    equal bit for bit."""
+    return _NEWTON_ZEROS(gen, [seed])[0]
 
 
 def _conjugate(src, alpha):
@@ -191,8 +165,8 @@ def _hex(z):
 
 @pytest.mark.parametrize("src", NEWTON_GENERATORS)
 def test_batched_newton_equals_scalar_loop(src, monkeypatch):
-    # every seed classify starts from, interior and boundary, gives the
-    # scalar loop's zero to the bit, or None where it gives None
+    # every seed classify starts from, interior and boundary, gets in the
+    # batch the zero it gets alone, to the bit, or None where it gets None
     gen = _gen(src)
     batched, seen = semigroup._newton_zeros, []
     monkeypatch.setattr(semigroup, "_newton_zeros",
@@ -208,17 +182,16 @@ def test_batched_newton_equals_scalar_loop(src, monkeypatch):
 
 
 def _scalar_boundary_lambda(gen, tau):
-    """The one-radius-at-a-time loop that _boundary_lambda batches: the
-    reference its lambda and verdict must equal bit for bit."""
+    """_boundary_lambda one radius at a time, each sampled alone in the same
+    numpy arithmetic: the reference its lambda and verdict must equal bit
+    for bit."""
     samples = []
     for _, r in quad.radial_schedule():
-        try:
-            g = expr.evaluate(gen.G, r * tau)
+        g = expr.evaluate_array(gen.G, np.array([r]) * tau)
+        with np.errstate(all="ignore"):
             v = (tau.conjugate() * g).real / (1.0 - r)
-        except expr.EvalDomainError:
-            continue
-        if math.isfinite(v):
-            samples.append((r, v))
+        if np.isfinite(g[0]) and np.isfinite(v[0]):
+            samples.append((r, float(v[0])))
     if len(samples) < 4:
         raise ClassificationError("boundary spectral-value analysis failed")
     verdict = quad.classify_sequence([(r, abs(v)) for r, v in samples])
@@ -263,8 +236,8 @@ def test_boundary_lambda_equals_scalar_loop(src, alpha, monkeypatch):
                                      ("log(z+0.984375)", -1.0 + 0.0j),
                                      ("-1/(z-0.96875*i)", 1.0j)])
 def test_boundary_lambda_skips_where_the_scalar_loop_skipped(src, tau):
-    # a pole or log singularity on a sampled radius: the scalar loop's
-    # EvalDomainError there becomes a non-finite sample, skipped the same
+    # a pole or log singularity on a sampled radius: a non-finite sample,
+    # skipped in the batch as when that radius is sampled alone
     gen = _gen(src)
     _, verdict = semigroup._boundary_lambda(gen, tau)
     assert len(verdict.samples) == len(quad.radial_schedule()) - 1
@@ -297,6 +270,23 @@ def test_classify_evaluates_in_batches(src, monkeypatch):
     except ClassificationError:   # rotated (1-z)^2: a known boundary defect
         pass
     assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("src", ["z^2 - 1", "-z*(1 + z)/(1 - z)", "i*z", "-z"])
+@pytest.mark.parametrize("alpha", [0.3, 1.7, 4.1])
+def test_classification_is_rotation_equivariant(src, alpha):
+    # conj(c) G(c z) generates conj(c) phi_t(c z): the same kind, Denjoy-Wolff
+    # point conj(c) tau, the same spectral value.  z^2 - 1 gets 1e-3 on
+    # lambda: _boundary_lambda extrapolates from its two deepest radii,
+    # 1 - r = 2^-38 and 2^-39, where G(r tau) cancels, and reads lambda
+    # 1.8e-4 and 4.3e-4 above 2 at alpha = 1.7 and 4.1.  Rotated (1 - z)^2
+    # is left out: it raises ClassificationError, a known boundary defect
+    c = cmath.exp(1j * alpha)
+    base, rotated = classify(_gen(src)), classify(_gen(_conjugate(src, alpha)))
+    assert rotated.kind == base.kind
+    assert abs(rotated.tau - c.conjugate() * base.tau) <= 1e-12
+    tol = 1e-3 if base.kind == "hyperbolic" else 1e-12
+    assert abs(rotated.lam - base.lam) <= tol
 
 
 # ---------------------------------------------------------------------------

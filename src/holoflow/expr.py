@@ -124,7 +124,9 @@ class Sqrt(HoloExpr):
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (light constant folding, keeps derivative trees readable)
+# smart constructors: folding drops the zero and unit terms the derivative
+# rules make, so evaluate_array passes over fewer nodes, and a dropped 0 * u'
+# stays 0, not nan, where u' is not finite
 # ---------------------------------------------------------------------------
 
 def _const_of(e):
@@ -222,7 +224,7 @@ _CHUNK = 1 << 14
 _UFUNC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.true_divide,
           Neg: np.negative, Exp: np.exp, Log: np.log, Sqrt: np.sqrt}
 # rule(node, da, db) builds the derivative tree of node from the derivative
-# trees of its children a and b; the smart constructors keep it readable
+# trees of its children a and b; the smart constructors fold its constants
 _DERIVATIVE = {
     Const: lambda e, da, db: Const(0.0),
     Var: lambda e, da, db: Const(1.0),
@@ -338,9 +340,6 @@ class FunctionHandle:
         if isinstance(f, (str, HoloExpr)):
             return FunctionHandle.from_source(f)
         raise TypeError("expected expression, source or handle")
-
-    def __call__(self, z):
-        return self.val(z)
 
     def __iter__(self):            # unpacks as fv, fp = handle
         return iter((self.val, self.der))

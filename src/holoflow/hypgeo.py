@@ -1,9 +1,10 @@
 """Hyperbolic geometry of the Poincare disc.
 
-Mobius involutions, hyperbolic distance, hyperbolic midpoints, boundary arcs
-and the geodesic Carleson boxes bounded by the geodesic over an arc.  Points
-near the boundary carry an explicit gap field eps = 1 - |z| so that 1 - |z|^2
-can always be formed without cancellation as eps * (2 - eps).
+The Mobius involution phi(a, z), hyperbolic distance, hyperbolic midpoints,
+boundary arcs and the geodesic Carleson box GeodesicBox(arc) bounded by the
+geodesic over an arc.  Points near the boundary carry an explicit gap field
+eps = 1 - |z| so that 1 - |z|^2 can always be formed without cancellation as
+eps * (2 - eps).
 
 Arc lengths are normalized to fractions of the full circle.  A box over an
 arc of length l has at radius r > 0 the section cos(dtheta) >= x =
@@ -22,14 +23,12 @@ import numpy as np
 
 __all__ = [
     "DiscPoint",
-    "MobiusMap",
     "Arc",
     "GeodesicBox",
     "phi",
     "hyp_dist",
     "midpoint_from_origin",
     "arc_of",
-    "box_of",
     "box_contains",
     "one_minus_abs_sq",
 ]
@@ -81,20 +80,6 @@ class DiscPoint:
 
 def _as_complex(p):
     return p.value if isinstance(p, DiscPoint) else complex(p)
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """The disc involution phi_a(z) = (a - z) / (1 - conj(a) z)."""
-
-    a: complex
-
-    @staticmethod
-    def involution(a) -> "MobiusMap":
-        return MobiusMap(_as_complex(a))
-
-    def __call__(self, z):
-        return phi(self.a, z if isinstance(z, np.ndarray) else _as_complex(z))
 
 
 def phi(a, z):
@@ -189,11 +174,6 @@ class GeodesicBox:
         h = self.arc.half_angle / 2.0
         s, c = math.sin(h), math.cos(h)
         return max((c - s) / (c + s), 0.0)
-
-
-def box_of(arc_or_point) -> GeodesicBox:
-    arc = arc_or_point if isinstance(arc_or_point, Arc) else arc_of(arc_or_point)
-    return GeodesicBox(arc)
 
 
 def box_contains(box: GeodesicBox, z):

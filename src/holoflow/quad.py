@@ -258,7 +258,8 @@ def grid_sup(sampler, region, resolution):
 
     best = -math.inf
     for ring in rings:
-        vals = np.asarray(sampler(ring), dtype=float)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(sampler(ring), dtype=float)
         vals = np.where(np.isfinite(vals), vals, -math.inf)
         best = max(best, float(np.max(vals)))
     return best

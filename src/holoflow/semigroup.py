@@ -349,8 +349,6 @@ def koenigs(gen) -> _expr.FunctionHandle:
 
         def h(z):
             z = complex(z)
-            if z == tau:
-                return 0.0 + 0.0j
             return (z - tau) * cmath.exp(line_integral(
                 lambda s: _expr.evaluate_array(core, s), tau, z))
 

@@ -49,9 +49,6 @@ def volterra_apply(g, f) -> FunctionHandle:
         return fv(np.asarray(z, dtype=complex)) * gp(np.asarray(z, dtype=complex))
 
     def val(z):
-        z = complex(z)
-        if z == 0:
-            return 0.0 + 0.0j
         return line_integral(lambda s: fv(s) * gp(s), 0.0, z)
 
     return FunctionHandle(val, der)

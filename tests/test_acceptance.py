@@ -8,6 +8,7 @@ and additionally prints an explicit CRITERION line on success (visible with
 import cmath
 import json
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from holoflow import cli, construct, expr, volterra
 from holoflow.expr import FunctionHandle
-from holoflow.hypgeo import (Arc, DiscPoint, MobiusMap, arc_of, box_of,
+from holoflow.hypgeo import (Arc, DiscPoint, GeodesicBox, arc_of,
                              hyp_dist, midpoint_from_origin, phi)
 from holoflow.quad import box_integral, disc_integral
 from holoflow.semigroup import Generator, berkson_porta, classify, flow_points
@@ -101,14 +102,14 @@ def test_criterion_04_hyperbolic_geometry_suite():
     for _ in range(50):
         a, x, y = (0.85 * math.sqrt(rng.uniform())
                    * cmath.exp(2j * math.pi * rng.uniform()) for _ in "axy")
-        m = MobiusMap.involution(a)
+        m = partial(phi, a)
         assert abs(hyp_dist(m(x), m(y)) - hyp_dist(x, y)) <= 1e-10
     for r in (0.2, 0.7, 0.99):
         ws = midpoint_from_origin(r)
         assert abs(1.0 - ws.radius * r - math.sqrt(1 - r * r)) <= 1e-12
     for w in (0.5, 0.8j, DiscPoint.from_polar_gap(2.0, 1e-4)):
         p = w if isinstance(w, DiscPoint) else DiscPoint.from_complex(w)
-        box = box_of(arc_of(p))
+        box = GeodesicBox(arc_of(p))
         assert abs((1.0 - box.closest_radius) - p.gap) <= 1e-9 * p.gap + 1e-12
         if p.gap > 1e-5:
             d0 = hyp_dist(0.0, p.value)
@@ -126,7 +127,7 @@ def test_criterion_05_seminorm_oracles():
     half, _ = disc_integral(lambda z: 1.0 - np.abs(z) ** 2)
     assert abs(one - 1.0) <= 1e-9
     assert abs(half - 0.5) <= 1e-9
-    full = box_integral(box_of(Arc(0.0, 1.0)),
+    full = box_integral(GeodesicBox(Arc(0.0, 1.0)),
                         lambda z: 1.0 - np.abs(z) ** 2)
     assert abs(full - 0.5) <= 1e-9
     rep = bloch_seminorm(FunctionHandle.from_source("log(e/(1 - z))"),

@@ -308,22 +308,21 @@ def test_bloch_depth_20_runs(capsys):
     assert doc["resolution"] == 24 and float(doc["value"]) == 1.0
 
 
-def _child_norm(source):
-    """norm --function source in a fresh interpreter, warnings on stderr."""
+def _child(*argv):
+    """The CLI in a fresh interpreter; a RuntimeWarning is an error there."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("HOLOFLOW_PRECISION_BITS", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from holoflow import cli; "
-         "sys.exit(cli.main(sys.argv[1:]))", "norm", "--function", source],
-        env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "holoflow.cli",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("source", ["10^154*z", "10^160*z"])
 def test_overflowing_bmoa_seminorm_exits_4(source):
     # |f'|^2 overflows at 10^160, the per-ring prefix sums at 10^154: the
     # seminorm is a numerical failure, not 0
-    proc = _child_norm(source)
+    proc = _child("norm", "--function", source)
     doc = json.loads(proc.stdout)             # exactly one JSON document
     assert proc.returncode == cli.EXIT_NUMERIC
     assert doc["error"]["exit_code"] == 4
@@ -332,9 +331,24 @@ def test_overflowing_bmoa_seminorm_exits_4(source):
 
 
 def test_large_finite_bmoa_seminorm_exits_0():
-    proc = _child_norm("10^150*z")
+    proc = _child("norm", "--function", "10^150*z")
     assert proc.returncode == cli.EXIT_OK
     assert json.loads(proc.stdout)["value"] == "7.5763763550677224e+149"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("volterra", "--symbol", "exp(800*z)"), cli.EXIT_NUMERIC),
+    (("volterra", "--space", "bloch", "--symbol", "log(z)"), cli.EXIT_OK),
+    (("condition", "--generator", "exp(800*z)*(-z)", "--which", "lvmo"),
+     cli.EXIT_OK),
+])
+def test_overflowing_samples_warn_nothing(argv, code):
+    # numpy's error state is per thread, so each grid sampler runs under its
+    # own np.errstate: an overflowed or nan sample is excluded silently
+    proc = _child(*argv)
+    assert proc.returncode == code
+    json.loads(proc.stdout)                   # exactly one JSON document
     assert proc.stderr == ""
 
 

@@ -17,7 +17,7 @@ from holoflow.construct import (BLOCK_BOUNDS, ConstructionFailure,
                                 make_block, mp_box_average, mp_disc_integral,
                                 verify_block)
 from holoflow.quad import box_integral
-from holoflow.hypgeo import Arc, box_of
+from holoflow.hypgeo import Arc, GeodesicBox
 
 BLOCK_CORPUS = (0.5, 0.9, 0.99, 1.0 - 1e-6)
 
@@ -94,7 +94,7 @@ def test_mp_disc_integral_oracle():
 def test_mp_box_average_matches_float_quadrature(length):
     with mp.workprec(256):
         mp_avg = float(mp_box_average(lambda t, g: g * (2 - g), length))
-    box = box_of(Arc(0.0, length))
+    box = GeodesicBox(Arc(0.0, length))
     ref = box_integral(box, lambda z: 1 - np.abs(z) ** 2) / length
     assert mp_avg == pytest.approx(ref, rel=1e-5)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from holoflow import quad
-from holoflow.hypgeo import Arc, box_of, phi
+from holoflow.hypgeo import Arc, GeodesicBox, phi
 from holoflow.quad import (QuadFailure, _radial_panels, box_integral,
                            classify_sequence, disc_integral, grid_sup,
                            line_integral, radial_limit, radial_schedule)
@@ -37,7 +37,7 @@ def test_disc_integral_of_power_density():
 
 
 def test_full_circle_box_equals_disc():
-    box = box_of(Arc(0.0, 1.0))
+    box = GeodesicBox(Arc(0.0, 1.0))
     dens = lambda z: 1.0 - np.abs(z) ** 2
     assert box_integral(box, dens) == pytest.approx(0.5, abs=1e-9)
 
@@ -46,17 +46,17 @@ def test_half_circle_box_is_integrated_directly():
     # a half box is its own opposite, so it has no complement to go through
     dens = lambda z: 1.0 - np.abs(z) ** 2
     for theta in (0.0, 2.0):
-        assert box_integral(box_of(Arc(theta, 0.5)), dens) == pytest.approx(
-            0.25, abs=1e-9)
+        assert box_integral(GeodesicBox(Arc(theta, 0.5)),
+                            dens) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_box_plus_complement_additivity():
     # quarter-circle box + the opposite 3/4 box = whole disc, 2x tolerance
     dens = lambda z: 1.0 - np.abs(z) ** 2
-    box = box_of(Arc(0.7, 0.25))
+    box = GeodesicBox(Arc(0.7, 0.25))
     whole, _ = disc_integral(dens)
     left = box_integral(box, dens)
-    long_box = box_of(Arc((0.7 + math.pi) % (2 * math.pi), 0.75))
+    long_box = GeodesicBox(Arc((0.7 + math.pi) % (2 * math.pi), 0.75))
     assert left + box_integral(long_box, dens) == pytest.approx(
         whole, abs=2 * (CFG.atol + CFG.rtol * whole) + 2e-9)
     back = box.opposite().opposite().arc      # involution up to rounding

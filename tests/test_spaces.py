@@ -39,6 +39,23 @@ def test_weight_regularity_closed_form():
     assert weight_regularity(Weight.unit()) == 0.0
 
 
+def test_weight_regularity_bounds_the_weight_gradient():
+    # (1 - |z|^2)|grad omega_K| = 2|z| <= C_omega omega_K on a polar grid
+    r = np.linspace(0.01, 1.0 - 1e-9, 20)
+    t = np.arange(20) * (2.0 * math.pi / 20)
+    z = (r[:, None] * np.exp(1j * t[None, :])).ravel()
+    for K in (1.5, math.e, math.e ** 3, math.e ** 4, math.e ** 6):
+        c = weight_regularity(Weight.log_K(K))
+        assert np.all(2.0 * np.abs(z)
+                      <= c * np.log(K / (1.0 - np.abs(z) ** 2)))
+
+
+@pytest.mark.parametrize("K", [float("nan"), float("inf"), 1.0])
+def test_log_weight_requires_a_finite_K_above_1(K):
+    with pytest.raises(ValueError):
+        Weight.log_K(K)
+
+
 def test_log_weight_values():
     w = Weight.log()                       # K = e
     oms = np.array([0.5, 1e-6])

@@ -1,9 +1,10 @@
 """Numerical engines on the unit disc.
 
 Deterministic (dyadic, no randomness) polar quadrature for area integrals over
-the disc and over geodesic Carleson boxes, grid suprema, radial limit
+the disc and over geodesic Carleson boxes, suprema over circles, radial limit
 classification, and Gauss-Legendre line integrals.  All area integrals use the
 normalized measure dm = area/pi and clip a boundary annulus of width eps_min.
+A power-of-two angle mesh is every s-th point of a finer one, bit for bit.
 The module also holds the package's settings: the estimators' CONFIG and the
 witness code's working precision, default_bits().
 """
@@ -139,9 +140,7 @@ def _refine(value, what):
 
 def _disc_value(density, depth):
     n_r = CONFIG.n_radial + 2 * depth
-    n_t = CONFIG.n_angular * (2 ** depth)
-    thetas = np.arange(n_t) * (2.0 * math.pi / n_t)
-    eit = np.exp(1j * thetas)
+    eit = _angle_mesh(CONFIG.n_angular * (2 ** depth))
     total = 0.0
     for a, b in _radial_panels(CONFIG.eps_min):
         r, wr = _gl_nodes(a, b, n_r)
@@ -218,51 +217,26 @@ def box_integral(box, density):
 
 
 # ---------------------------------------------------------------------------
-# grid suprema
+# circle suprema
 # ---------------------------------------------------------------------------
 
-def _disc_grid_points(resolution, eps_min):
-    # uniform bulk radii (nested as resolution grows) plus dyadic radii
-    # accumulating at the boundary
-    m = min(resolution, 6)
-    radii = {k * 2.0 ** (-m) for k in range(2 ** m)}
-    for j in range(1, resolution + 1):
-        gap = 2.0 ** (-j)
-        if gap <= eps_min:
-            radii.add(1.0 - eps_min)
-            break
-        radii.add(1.0 - gap)
-    radii = sorted(radii)
-    n_t = 2 ** (min(resolution, 8) + 3)
-    thetas = np.arange(n_t) * (2.0 * math.pi / n_t)
-    eit = np.exp(1j * thetas)
-    return [r * eit if r > 0 else np.array([0.0 + 0.0j]) for r in radii]
+def _angle_mesh(n):
+    """e^{i theta_k}, theta_k = k 2 pi / n, k < n.  For powers of two the
+    mesh of n/s angles is every s-th point of this one, bit for bit."""
+    return np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
 
 
-def grid_sup(sampler, region, resolution):
-    """Maximum of sampler over a deterministic grid on the region, a float
-    lower estimate of the supremum; non-finite samples count as -inf.
+def _finite_samples(sampler, z):
+    """sampler(z) as floats, with non-finite samples as -inf."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(sampler(z), dtype=float)
+    return np.where(np.isfinite(vals), vals, -math.inf)
 
-    region is ("disc",) or ("circle", r).  Refining the resolution never
-    decreases the value (grids are nested).
-    """
-    kind = region[0]
-    if kind == "circle":
-        n_t = 2 ** (min(resolution, 16) + 3)
-        thetas = np.arange(n_t) * (2.0 * math.pi / n_t)
-        rings = [region[1] * np.exp(1j * thetas)]
-    elif kind == "disc":
-        rings = _disc_grid_points(resolution, CONFIG.eps_min)
-    else:
-        raise ValueError("unknown region %r" % (region,))
 
-    best = -math.inf
-    for ring in rings:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(sampler(ring), dtype=float)
-        vals = np.where(np.isfinite(vals), vals, -math.inf)
-        best = max(best, float(np.max(vals)))
-    return best
+def grid_sup(sampler, r, n_angles):
+    """Max of sampler over n_angles equispaced points of |z| = r, a float lower
+    estimate of its supremum there; non-finite samples count as -inf."""
+    return float(np.max(_finite_samples(sampler, r * _angle_mesh(n_angles))))
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,7 @@ class Generator:
 def _sample_grid():
     """20 x 20 polar grid: radii 0.05..0.95, equispaced angles."""
     r = np.linspace(0.05, 0.95, 20)
-    t = np.arange(20) * (2.0 * math.pi / 20)
-    return (r[:, None] * np.exp(1j * t[None, :])).ravel()
+    return (r[:, None] * quad._angle_mesh(20)[None, :]).ravel()
 
 
 def berkson_porta(tau, p) -> Generator:

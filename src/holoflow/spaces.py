@@ -2,10 +2,12 @@
 
 Seminorms are grid estimates with refinement diagnostics, never exact norms.
 The Bloch seminorm is a sup over point samples, so a lower bound, to depth
-J = 20.  The BMOA seminorm reduces box averages over the dyadic arc family,
-computed on a master polar grid with per-ring angular prefix sums, so the
-whole family costs one density evaluation; it stops at J = 12, the depth the
-grid's 2^(J+4) angles resolve.  The a-dependent Garsia-style integrals
+J = 20; its nested grids sample each radius once, on the finest grid's
+angles, and a coarser grid reads every s-th sample of a ring.  The BMOA
+seminorm reduces box averages over the dyadic arc family, computed on a
+master polar grid with per-ring angular prefix sums, so the whole family
+costs one density evaluation; it stops at J = 12, the depth the grid's
+2^(J+4) angles resolve.  The a-dependent Garsia-style integrals
 
     int g(z) (1 - |phi_a(z)|^2) dm(z),
     1 - |phi_a(z)|^2 = (1 - |a|^2)(1 - |z|^2) / |1 - conj(a) z|^2,
@@ -27,8 +29,8 @@ from . import expr as _expr
 from . import quad
 from .expr import _CHUNK, FunctionHandle, _map
 from .hypgeo import Arc, GeodesicBox, one_minus_abs_sq
-from .quad import (LimitVerdict, _radial_nodes, classify_sequence, grid_sup,
-                   radial_limit)
+from .quad import (LimitVerdict, _angle_mesh, _finite_samples, _radial_nodes,
+                   classify_sequence, grid_sup, radial_limit)
 from .semigroup import _sample_grid, classify, gamma_symbol
 
 __all__ = [
@@ -151,41 +153,41 @@ def _bloch_sampler(f, w):
     return sampler
 
 
-def bloch_seminorm(f, w=Weight.unit(), resolution=12) -> SeminormReport:
-    """Grid lower bound for sup |f'(z)| (1-|z|^2) omega(z)."""
-    if not 4 <= resolution <= MAX_J + 4:
-        raise ValueError("resolution must be in [4, %d], got %r"
-                         % (MAX_J + 4, resolution))
-    sampler, rings = _bloch_sampler(f, w), {}
+def bloch_seminorm(f, w=Weight.unit(), J=8) -> SeminormReport:
+    """Grid lower bound for sup |f'(z)| (1-|z|^2) omega(z) at resolution J + 4.
 
-    def ring_sampler(z):
-        # the nested grids revisit rings: one sampler call per distinct ring,
-        # still ring by ring (compose_apply integrates a ring as one system)
-        key = z.tobytes()
-        if key not in rings:
-            rings[key] = sampler(z)
-        return rings[key]
-
-    history, best = [], -math.inf
-    for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
-        best = max(best, grid_sup(ring_sampler, ("disc",), res))
-        history.append((res, best))
-    return SeminormReport("bloch", w, best, resolution, history)
+    Level res = 4, 6, ..., J + 4 of the history is the max over the origin
+    and the rings of radii k 2^-min(res, 6) and 1 - 2^-j, j <= res, on
+    2^(min(res, 8) + 3) angles; the levels nest, so the history is
+    nondecreasing.  Each radius is sampled once, when a level first needs
+    it, on the finest level's angles and one ring per call (compose_apply
+    integrates a ring as one ODE system); a coarser level reads every s-th
+    sample, its own angles bit for bit (quad._angle_mesh)."""
+    _check_depth(J, MAX_J)
+    sampler, top = _bloch_sampler(f, w), J + 4
+    eit = _angle_mesh(2 ** (min(top, 8) + 3))
+    rings, history = {}, []             # radius -> its samples
+    for res in sorted(set(range(4, top + 1, 2)) | {top}):
+        m, s = min(res, 6), eit.size >> (min(res, 8) + 3)
+        radii = ({k * 2.0 ** -m for k in range(2 ** m)}
+                 | {1.0 - 2.0 ** -j for j in range(1, res + 1)})
+        for r in sorted(radii - rings.keys()):
+            z = r * eit if r else np.zeros(1, complex)
+            rings[r] = _finite_samples(sampler, z)
+        history.append((res, max(float(np.max(rings[r][::s])) for r in radii)))
+    return SeminormReport("bloch", w, history[-1][1], top, history)
 
 
 def bloch_vanishing(f, w=Weight.unit()) -> LimitVerdict:
-    """Limit of the angular sup of the Bloch integrand as r -> 1, over 256
-    equispaced angles.
+    """Limit as r -> 1 of the Bloch integrand's sup over 256 angles of |z| = r.
 
     The slope rule admits 1/log-type decay (e.g. (log(e/(1-z)))^{1/2}, which
     lies in the little Bloch space but decays too slowly for the literal
     threshold); the verdict records when the rule fired.
     """
     sampler = _bloch_sampler(f, w)
-    # resolution 5: 2^(5+3) = 256 angles; a circle without finite samples
-    # gives -inf, which radial_limit skips
-    return radial_limit(lambda r: grid_sup(sampler, ("circle", r), 5),
-                        slope_rule=True)
+    # a circle without finite samples gives -inf, which radial_limit skips
+    return radial_limit(lambda r: grid_sup(sampler, r, 256), slope_rule=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def _octave_sups(f, w, J):
     """
     _, fp = FunctionHandle.of(f)
     r, wr, n_theta = _master_grid(J)
-    eit = np.exp(1j * (np.arange(n_theta) * (2.0 * math.pi / n_theta)))
+    eit = _angle_mesh(n_theta)
     # cells[i, k] = (sum of ring i's values before cell k, value of cell k),
     # a value |f'|^2 (1-|z|^2), 0 where f' is inf/nan; cells[i, n_theta, 0]
     # is the ring's total
@@ -337,13 +339,12 @@ def bmoa_vanishing(f, w=Weight.unit()) -> LimitVerdict:
 
 
 def seminorm(f, space, w=Weight.unit(), J=8) -> SeminormReport:
-    """The space's seminorm at depth J: bmoa_seminorm at J, or
-    bloch_seminorm at resolution J + 4."""
+    """The space's seminorm at depth J: bmoa_seminorm or bloch_seminorm."""
     _check_depth(J, MAX_J)
     if space == "bmoa":
         return bmoa_seminorm(f, w, J=J)
     if space == "bloch":
-        return bloch_seminorm(f, w, resolution=J + 4)
+        return bloch_seminorm(f, w, J)
     raise ValueError("space must be 'bmoa' or 'bloch', got %r" % (space,))
 
 
@@ -454,10 +455,9 @@ def _lvb_verdict(gen):
         skipped[0] += int(np.sum(skip))
         return np.where(skip, np.nan, vals)
 
-    # 64 angles per radius; a circle with no usable sample gives -inf, and
-    # radial_limit skips that radius
+    # a circle with no usable sample gives -inf, which radial_limit skips
     verdict = radial_limit(
-        lambda r: grid_sup(partial(circle_values, r), ("circle", r), 3))
+        lambda r: grid_sup(partial(circle_values, r), r, 64))
     if skipped[0]:
         verdict.flags.append("skipped %d samples at zeros of G" % skipped[0])
     return verdict

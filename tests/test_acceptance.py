@@ -130,8 +130,7 @@ def test_criterion_05_seminorm_oracles():
     full = box_integral(GeodesicBox(Arc(0.0, 1.0)),
                         lambda z: 1.0 - np.abs(z) ** 2)
     assert abs(full - 0.5) <= 1e-9
-    rep = bloch_seminorm(FunctionHandle.from_source("log(e/(1 - z))"),
-                         resolution=16)
+    rep = bloch_seminorm(FunctionHandle.from_source("log(e/(1 - z))"), J=12)
     vals = [v for _, v in rep.history]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     at_12 = dict(rep.history)[12]

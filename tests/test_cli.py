@@ -267,7 +267,7 @@ def test_block_property_failure_exits_5(capsys, monkeypatch):
 @pytest.mark.parametrize("space", ["bmoa", "bloch"])
 def test_depth_above_cap_exits_3(capsys, monkeypatch, space):
     monkeypatch.setattr(cli.spaces, "_octave_sups", _must_not_run)
-    monkeypatch.setattr(cli.spaces, "grid_sup", _must_not_run)
+    monkeypatch.setattr(cli.spaces, "_bloch_sampler", _must_not_run)
     code, doc = run_json(capsys, "norm", "--function", "z", "--space", space,
                          "--J", "21")
     assert code == cli.EXIT_DOMAIN
@@ -280,7 +280,7 @@ def test_depth_above_cap_exits_3(capsys, monkeypatch, space):
 def test_depth_error_names_the_depth_J(capsys, monkeypatch, space, J):
     # Bloch runs at resolution J + 4, but the message names the J passed
     monkeypatch.setattr(cli.spaces, "_octave_sups", _must_not_run)
-    monkeypatch.setattr(cli.spaces, "grid_sup", _must_not_run)
+    monkeypatch.setattr(cli.spaces, "_bloch_sampler", _must_not_run)
     code, doc = run_json(capsys, "norm", "--function", "z", "--space", space,
                          "--J", J)
     assert code == cli.EXIT_DOMAIN

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from holoflow import quad
+from holoflow.expr import FunctionHandle
 from holoflow.hypgeo import Arc, GeodesicBox, phi
 from holoflow.quad import (QuadFailure, _radial_panels, box_integral,
                            classify_sequence, disc_integral, grid_sup,
                            line_integral, radial_limit, radial_schedule)
+from holoflow.spaces import bloch_seminorm
 
 CFG = quad.CONFIG
 
@@ -96,34 +98,35 @@ def test_line_integral_of_polynomial():
 # ---------------------------------------------------------------------------
 
 def test_grid_sup_refinement_is_monotone():
-    sampler = lambda z: np.abs(z - 0.3) * (1.0 - np.abs(z) ** 2)
-    prev = -math.inf
-    for res in range(2, 10):
-        est = grid_sup(sampler, ("disc",), res)
-        assert est >= prev
-        prev = est
+    # the Bloch grids nest, so the history of the grid sup never decreases;
+    # f' = z - 0.3
+    f = FunctionHandle.from_source("z^2/2 - 0.3*z")
+    rep = bloch_seminorm(f, J=5)
+    assert [res for res, _ in rep.history] == [4, 6, 8, 9]
+    vals = [v for _, v in rep.history]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_grid_sup_on_circle_finds_peak():
     sampler = lambda z: np.exp(-np.abs(z - 0.9) ** 2)
-    est = grid_sup(sampler, ("circle", 0.9), 10)
+    est = grid_sup(sampler, 0.9, 2 ** 13)
     assert est == pytest.approx(1.0, abs=1e-4)
 
 
 def test_grid_sup_counts_non_finite_samples_as_minus_infinity():
-    def sampler(z):
-        vals = np.abs(z)
-        return np.where(vals > 0.5, np.nan, vals)
-    assert 0.45 < grid_sup(sampler, ("disc",), 6) <= 0.5
-    assert grid_sup(lambda z: np.full(z.shape, np.inf), ("circle", 0.5),
-                    3) == -math.inf
+    # f' is nan on |z| > 0.5: those samples count as -inf, so the Bloch
+    # sup is |z|(1 - |z|^2) over the rings with |z| <= 0.5, at r = 0.5
+    nan_outside = lambda z: np.where(np.abs(z) > 0.5, np.nan, z)
+    assert bloch_seminorm(FunctionHandle(nan_outside, nan_outside),
+                          J=2).value == pytest.approx(0.375, rel=1e-12)
+    assert grid_sup(lambda z: np.full(z.shape, np.inf), 0.5, 64) == -math.inf
 
 
 def test_grid_sup_captures_interior_maximum():
     # |f'|(1-|z|^2) for f = z^2/2 peaks at r = 1/sqrt(3), off the dyadic set
-    sampler = lambda z: np.abs(z) * (1.0 - np.abs(z) ** 2)
-    est = grid_sup(sampler, ("disc",), 8)
-    assert est >= 2.0 / (3.0 * math.sqrt(3.0)) * 0.999
+    est = bloch_seminorm(FunctionHandle.from_source("z^2/2"), J=4).value
+    assert 2.0 / (3.0 * math.sqrt(3.0)) * 0.999 <= est \
+        <= 2.0 / (3.0 * math.sqrt(3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_bloch_seminorm_of_z():
 
 
 def test_bloch_seminorm_of_log_refines_toward_two():
-    rep = bloch_seminorm(FunctionHandle.from_source(F_LOG), resolution=16)
+    rep = bloch_seminorm(FunctionHandle.from_source(F_LOG), J=12)
     vals = [v for _, v in rep.history]
     assert all(b >= a for a, b in zip(vals, vals[1:]))   # monotone refinement
     assert rep.value >= 1.95
@@ -100,45 +100,83 @@ def test_bloch_mobius_invariance_within_two_percent():
             assert abs(comp - base) / base <= 0.02
 
 
-def _per_ring_bloch_seminorm(f, resolution):
-    """bloch_seminorm without its ring memo: every grid calls the sampler
-    on each of its rings.  The reference the memo must reproduce."""
-    sampler = spaces._bloch_sampler(f, Weight.unit())
+def _nested_grid_bloch_seminorm(f, w, J):
+    """The Bloch seminorm as nested grids: level res samples its own rings,
+    radii k 2^-min(res, 6) and 1 - 2^-j for j <= res, each on its own
+    2^(min(res, 8) + 3) angles, and the origin as one point.  The reference
+    that bloch_seminorm's single sampling of each radius must reproduce."""
+    sampler = spaces._bloch_sampler(f, w)
     history, best = [], -math.inf
-    for res in sorted(set(range(4, resolution + 1, 2)) | {resolution}):
-        best = max(best, quad.grid_sup(sampler, ("disc",), res))
+    for res in sorted(set(range(4, J + 5, 2)) | {J + 4}):
+        m, n = min(res, 6), 2 ** (min(res, 8) + 3)
+        radii = ({k * 2.0 ** -m for k in range(2 ** m)}
+                 | {1.0 - 2.0 ** -j for j in range(1, res + 1)})
+        for r in sorted(radii):
+            best = max(best, quad.grid_sup(sampler, r, n if r else 1))
         history.append((res, best))
     return best, history
 
 
-def _disc_rings(resolution):
-    """The bytes of every distinct ring of bloch_seminorm's nested grids."""
-    return {ring.tobytes()
-            for res in sorted(set(range(4, resolution + 1, 2)) | {resolution})
-            for ring in quad._disc_grid_points(res, quad.CONFIG.eps_min)}
-
-
-def test_bloch_ring_memo_matches_per_ring_evaluation():
+def test_bloch_seminorm_matches_nested_grid_reference():
     from holoflow.construct import make_block
     from holoflow.volterra import compose_apply
-    handles = [(FunctionHandle.from_source(F_LOG), 12),
-               (FunctionHandle.from_source(F_LOGHALF), 11),
-               (make_block(0.99)[1], 12),
-               # a flow integrates each ring as one system: still per ring
-               (compose_apply(Generator.from_source("-z"), 0.1, F_LOG), 9)]
-    for f, res in handles:
-        rep = bloch_seminorm(f, resolution=res)
+    log = FunctionHandle.from_source(F_LOG)
+    cases = [(log, Weight.unit(), 8),
+             (FunctionHandle.from_source(F_LOGHALF), Weight.unit(), 7),
+             (make_block(0.99)[1], Weight.unit(), 8),
+             (log, Weight.log(), 8),
+             (log, Weight.unit(), 0),
+             (log, Weight.unit(), 20),
+             # a flow integrates each ring as one ODE system, and the
+             # reference's coarse rings are systems of their own
+             (compose_apply(Generator.from_source("-z"), 0.1, F_LOG),
+              Weight.unit(), 5)]
+    for f, w, J in cases:
+        rep = bloch_seminorm(f, w, J)
+        assert rep.resolution == J + 4
         assert (rep.value, rep.history) == \
-            _per_ring_bloch_seminorm(f, res)
+            _nested_grid_bloch_seminorm(f, w, J)
 
 
-def test_bloch_sampler_runs_once_per_distinct_ring():
+def test_power_of_two_angle_meshes_are_strides_of_the_finest():
+    # theta_k on n angles equals theta_{sk} on n s angles bit for bit, since
+    # the two steps differ by a power of two
+    fine = quad._angle_mesh(2048)
+    for a in range(12):
+        n = 2 ** a
+        assert fine[::2048 // n].tobytes() == quad._angle_mesh(n).tobytes()
+
+
+def test_bloch_sampler_runs_once_per_distinct_radius(monkeypatch):
     fv, fp = FunctionHandle.from_source(F_LOG)
-    seen = []
-    bloch_seminorm(FunctionHandle(
-        fv, lambda z: seen.append(z.tobytes()) or fp(z)))
-    assert len(seen) == len(set(seen))
-    assert set(seen) == _disc_rings(12)
+    meshes, seen = [], []
+
+    def mesh(n):
+        meshes.append(n)
+        return quad._angle_mesh(n)
+
+    monkeypatch.setattr(spaces, "_angle_mesh", mesh)
+    bloch_seminorm(FunctionHandle(fv, lambda z: seen.append(z) or fp(z)))
+    assert meshes == [2048]                   # formed once, at J + 4 = 12
+    radii = [z[0].real for z in seen]         # e^{i theta_0} = 1
+    assert len(radii) == len(set(radii))
+    assert set(radii) == ({k / 64 for k in range(64)}
+                          | {1.0 - 2.0 ** -j for j in range(1, 13)})
+    origin = [z for z in seen if z[0] == 0]
+    assert len(origin) == 1 and origin[0].tobytes() == bytes(16)
+    mesh = quad._angle_mesh(2048)
+    for z in seen:
+        if z[0] != 0:                         # every ring on one mesh
+            assert z.tobytes() == (z[0].real * mesh).tobytes()
+
+
+@pytest.mark.parametrize("J", [-1, 21])
+def test_bloch_seminorm_checks_the_depth_before_sampling(monkeypatch, J):
+    def must_not_run(*args):
+        raise AssertionError("sampled before the depth check")
+    monkeypatch.setattr(spaces, "_bloch_sampler", must_not_run)
+    with pytest.raises(ValueError, match=r"depth J must be in \[0, 20\]"):
+        bloch_seminorm(FunctionHandle.from_source(F_LOG), J=J)
 
 
 def test_bloch_vanishing_verdicts():
@@ -156,8 +194,7 @@ def test_bloch_vanishing_verdicts():
 def test_seminorm_dispatch_shares_the_depth_rule():
     f = FunctionHandle.from_source(F_LOG)
     for j in (0, 8):
-        assert seminorm(f, "bloch", J=j) == bloch_seminorm(f,
-                                                           resolution=j + 4)
+        assert seminorm(f, "bloch", J=j) == bloch_seminorm(f, J=j)
     assert seminorm(f, "bmoa", J=3) == bmoa_seminorm(f, J=3)
     with pytest.raises(ValueError):
         seminorm(f, "bmo")
